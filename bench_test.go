@@ -594,8 +594,8 @@ func BenchmarkEvalBatched(b *testing.B) {
 // handoff). Per-evaluator Workers stays 1: serving parallelism comes from
 // independent requests, not from splitting one request. On a single-core
 // host the concurrent rows only verify the pool adds no meaningful
-// overhead; `dpbench -exp serve` reports the same contrast best-of-reps
-// with the bit-identity cross-check.
+// overhead; the pool leg of `dpbench -exp load` reports the same
+// contrast with every response checked bit-identical.
 func BenchmarkEngineServe(b *testing.B) {
 	cfg := TinyConfig(2)
 	cfg.Rcut, cfg.RcutSmth, cfg.Skin = 4.0, 0.5, 1.0

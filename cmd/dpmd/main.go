@@ -69,8 +69,6 @@ func main() {
 	tempK := flag.Float64("temp", 330, "initial temperature (K)")
 	seed := flag.Int64("seed", 1, "random seed")
 	dump := flag.String("dump", "", "write final configuration as XYZ")
-	perAtom := flag.Bool("peratom", false, "deprecated alias for -strategy peratom")
-	compressed := flag.Bool("compress", false, "deprecated alias for -strategy compressed (tabulates the embedding nets if the model carries no tables)")
 	eng := cliopt.Bind(flag.CommandLine, runtime.NumCPU())
 	flag.Parse()
 
@@ -78,21 +76,6 @@ func main() {
 	// the identical banner and thermo log (SPMD: same inputs, same state).
 	if *mpiRank <= 0 {
 		fmt.Fprintf(os.Stderr, "dpmd: %s\n", tensor.KernelInfo())
-	}
-
-	// Fold the pre-Engine boolean aliases into the shared strategy flag.
-	for _, alias := range []struct {
-		on          bool
-		flag, strat string
-	}{{*perAtom, "peratom", "peratom"}, {*compressed, "compress", "compressed"}} {
-		if !alias.on {
-			continue
-		}
-		if eng.Strategy != "auto" && eng.Strategy != alias.strat {
-			log.Fatalf("-%s conflicts with -strategy %s", alias.flag, eng.Strategy)
-		}
-		fmt.Fprintf(os.Stderr, "dpmd: -%s is deprecated; use -strategy %s\n", alias.flag, alias.strat)
-		eng.Strategy = alias.strat
 	}
 
 	if *transport != "inproc" && *transport != "tcp" {

@@ -201,36 +201,6 @@ func (e *Engine) Ensemble(systems []*System, opt SimOptions, steps int) ([]*Simu
 	return md.RunEnsemble(e, systems, opt, steps, e.Plan().MaxConcurrency)
 }
 
-// Legacy evaluator constructors. They predate Open and remain as thin
-// shims so existing callers keep compiling; the returned raw evaluators
-// are single-goroutine (see core.Evaluator) and expose the post-hoc
-// setters Open's options replaced.
-
-// NewDoubleEvaluator runs the optimized pipeline in double precision.
-//
-// Deprecated: use Open(m) (or Open(m, WithPrecision(Double),
-// WithStrategy(Batched))) — the Engine is goroutine-safe and validates
-// its configuration once.
-func NewDoubleEvaluator(m *Model) *core.Evaluator[float64] {
-	return core.NewEvaluator[float64](m)
-}
-
-// NewMixedEvaluator runs the optimized pipeline with single-precision
-// network math between double-precision boundaries (Sec. 5.2.3).
-//
-// Deprecated: use Open(m, WithPrecision(Mixed)).
-func NewMixedEvaluator(m *Model) *core.Evaluator[float32] {
-	return core.NewEvaluator[float32](m)
-}
-
-// NewBaselineEvaluator runs the 2018 serial DeePMD-kit execution strategy
-// (unfused ops, AoS neighbor handling, per-call allocation).
-//
-// Deprecated: use Open(m, WithStrategy(Baseline)).
-func NewBaselineEvaluator(m *Model) *core.BaselineEvaluator {
-	return core.NewBaselineEvaluator(m)
-}
-
 // MD engine.
 
 // System is the mutable atomic state of a simulation.

@@ -35,11 +35,11 @@ func waterTestSetup(t *testing.T) (*Model, *System, *NeighborList) {
 func requireBitIdentical(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if got.Energy != want.Energy {
-		t.Fatalf("%s: energy %.17g != legacy %.17g", label, got.Energy, want.Energy)
+		t.Fatalf("%s: energy %.17g != reference %.17g", label, got.Energy, want.Energy)
 	}
 	for i := range want.Force {
 		if math.Float64bits(got.Force[i]) != math.Float64bits(want.Force[i]) {
-			t.Fatalf("%s: force[%d] = %g != legacy %g", label, i, got.Force[i], want.Force[i])
+			t.Fatalf("%s: force[%d] = %g != reference %g", label, i, got.Force[i], want.Force[i])
 		}
 	}
 	for i := range want.AtomEnergy {
@@ -52,12 +52,11 @@ func requireBitIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestOpenMatchesLegacySurface is the facade back-compat differential
-// suite: every legacy constructor/setter combination must produce
+// TestOpenMatchesLegacySurface is the facade's differential suite: every
+// raw core evaluator configured through its post-hoc setters must produce
 // bit-identical energies, per-atom energies, forces and virials to the
 // equivalent Open(...) options, across all strategy x precision
-// combinations. This is what lets the legacy surface be deprecated
-// without a behavior cliff.
+// combinations.
 func TestOpenMatchesLegacySurface(t *testing.T) {
 	model, sys, list := waterTestSetup(t)
 	n := sys.N()
@@ -75,44 +74,44 @@ func TestOpenMatchesLegacySurface(t *testing.T) {
 		legacy func() Potential
 		opts   []Option
 	}{
-		{"double-batched", func() Potential { return NewDoubleEvaluator(model) },
+		{"double-batched", func() Potential { return core.NewEvaluator[float64](model) },
 			[]Option{WithPrecision(Double), WithStrategy(Batched)}},
 		{"double-peratom", func() Potential {
-			ev := NewDoubleEvaluator(model)
+			ev := core.NewEvaluator[float64](model)
 			ev.SetPerAtomDescriptors(true)
 			return ev
 		}, []Option{WithStrategy(PerAtom)}},
 		{"double-compressed", func() Potential {
-			ev := NewDoubleEvaluator(model)
+			ev := core.NewEvaluator[float64](model)
 			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
 				t.Fatal(err)
 			}
 			return ev
 		}, []Option{WithStrategy(Compressed)}},
-		{"mixed-batched", func() Potential { return NewMixedEvaluator(model) },
+		{"mixed-batched", func() Potential { return core.NewEvaluator[float32](model) },
 			[]Option{WithPrecision(Mixed), WithStrategy(Batched)}},
 		{"mixed-peratom", func() Potential {
-			ev := NewMixedEvaluator(model)
+			ev := core.NewEvaluator[float32](model)
 			ev.SetPerAtomDescriptors(true)
 			return ev
 		}, []Option{WithPrecision(Mixed), WithStrategy(PerAtom)}},
 		{"mixed-compressed", func() Potential {
-			ev := NewMixedEvaluator(model)
+			ev := core.NewEvaluator[float32](model)
 			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
 				t.Fatal(err)
 			}
 			return ev
 		}, []Option{WithPrecision(Mixed), WithStrategy(Compressed)}},
-		{"baseline", func() Potential { return NewBaselineEvaluator(model) },
+		{"baseline", func() Potential { return core.NewBaselineEvaluator(model) },
 			[]Option{WithStrategy(Baseline)}},
 		{"double-gemmworkers2", func() Potential {
-			ev := NewDoubleEvaluator(model)
+			ev := core.NewEvaluator[float64](model)
 			ev.SetGemmWorkers(2)
 			return ev
 		}, []Option{WithStrategy(Batched), WithGemmWorkers(2)}},
 		{"double-setter-roundtrip", func() Potential {
 			// Toggling strategies post hoc must land back on batched.
-			ev := NewDoubleEvaluator(model)
+			ev := core.NewEvaluator[float64](model)
 			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +136,7 @@ func TestOpenMatchesLegacySurface(t *testing.T) {
 	t.Run("workers2", func(t *testing.T) {
 		m2 := *model
 		m2.Cfg.Workers = 2
-		want := eval(t, NewDoubleEvaluator(&m2))
+		want := eval(t, core.NewEvaluator[float64](&m2))
 		eng, err := Open(model, WithStrategy(Batched), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +182,7 @@ func TestOpenValidation(t *testing.T) {
 }
 
 // The Ensemble helper runs k replicas over one engine and must agree with
-// serial per-replica simulations driven by the legacy constructors.
+// serial per-replica simulations driven by raw core evaluators.
 func TestEngineEnsemble(t *testing.T) {
 	model, _, _ := waterTestSetup(t)
 	cfg := model.Cfg
@@ -199,7 +198,7 @@ func TestEngineEnsemble(t *testing.T) {
 		refs[i].InitVelocities(300, int64(20+i))
 	}
 
-	// Batched explicitly: the reference runs legacy double evaluators,
+	// Batched explicitly: the reference runs raw double evaluators,
 	// and Auto would pick the attached tables instead.
 	eng, err := Open(model, WithStrategy(Batched), WithMaxConcurrency(k))
 	if err != nil {
@@ -210,7 +209,7 @@ func TestEngineEnsemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range refs {
-		ref, err := NewSimulation(refs[i], NewDoubleEvaluator(model), opt)
+		ref, err := NewSimulation(refs[i], core.NewEvaluator[float64](model), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +273,7 @@ func TestFacadeWorkflow(t *testing.T) {
 	}
 	sys.InitVelocities(300, 2)
 
-	sim, err := NewSimulation(sys, NewDoubleEvaluator(model), SimOptions{
+	sim, err := NewSimulation(sys, core.NewEvaluator[float64](model), SimOptions{
 		Dt: 0.0005, Spec: SpecFor(cfg), RebuildEvery: 20, ThermoEvery: 10,
 	})
 	if err != nil {
@@ -293,10 +292,10 @@ func TestFacadeWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rd, rm Result
-	if err := NewDoubleEvaluator(model).Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rd); err != nil {
+	if err := core.NewEvaluator[float64](model).Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rd); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewMixedEvaluator(model).Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rm); err != nil {
+	if err := core.NewEvaluator[float32](model).Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rm); err != nil {
 		t.Fatal(err)
 	}
 	if d := math.Abs(rd.Energy - rm.Energy); d > 1e-3*float64(sys.N()) {

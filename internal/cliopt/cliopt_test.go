@@ -49,25 +49,11 @@ func TestFlagTranslation(t *testing.T) {
 	}
 }
 
-// The historical dpmd spelling "-precision baseline" folds into the
-// baseline strategy at double precision; pairing it with a contradictory
-// -strategy is refused.
-func TestBaselinePrecisionAlias(t *testing.T) {
-	_, p, err := parse(t, "-precision", "baseline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Precision != deepmd.Double || p.Strategy != deepmd.Baseline {
-		t.Fatalf("alias plan %+v, want double/baseline", p)
-	}
-	if _, _, err := parse(t, "-precision", "baseline", "-strategy", "compressed"); err == nil {
-		t.Fatal("contradictory -precision baseline + -strategy compressed accepted")
-	}
-}
-
 func TestSpellingErrors(t *testing.T) {
-	if _, _, err := parse(t, "-precision", "quad"); err == nil {
-		t.Fatal("unknown precision accepted")
+	for _, prec := range []string{"quad", "baseline"} {
+		if _, _, err := parse(t, "-precision", prec); err == nil {
+			t.Fatalf("unknown precision %q accepted", prec)
+		}
 	}
 	if _, _, err := parse(t, "-strategy", "turbo"); err == nil {
 		t.Fatal("unknown strategy accepted")

@@ -85,26 +85,15 @@ func DescriptorBatch(sc Scale, workers int) (*BatchResult, error) {
 		evBat := core.NewEvaluator[float64](model)
 		evPar := core.NewEvaluator[float64](modelPar)
 
-		var rRef, rBat core.Result
-		timeEval := func(ev *core.Evaluator[float64], out *core.Result) (time.Duration, error) {
-			best := time.Duration(0)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				if err := ev.Compute(pos, types, n, lb.l, lb.b, out); err != nil {
-					return 0, err
-				}
-				if el := time.Since(start); best == 0 || el < best {
-					best = el
-				}
-			}
-			return best, nil
-		}
-		if row.PerAtom, err = timeEval(evRef, &rRef); err != nil {
+		var rRef, rBat, rPar core.Result
+		t, err := measure(reps,
+			func() error { return evRef.Compute(pos, types, n, lb.l, lb.b, &rRef) },
+			func() error { return evBat.Compute(pos, types, n, lb.l, lb.b, &rBat) },
+			func() error { return evPar.Compute(pos, types, n, lb.l, lb.b, &rPar) })
+		if err != nil {
 			return nil, err
 		}
-		if row.Batched, err = timeEval(evBat, &rBat); err != nil {
-			return nil, err
-		}
+		row.PerAtom, row.Batched, row.BatchedPar = t[0], t[1], t[2]
 		for i := range rRef.Force {
 			d := math.Abs(rBat.Force[i]-rRef.Force[i]) / (1 + math.Abs(rRef.Force[i]))
 			if d > row.MaxRelDiff {
@@ -113,10 +102,6 @@ func DescriptorBatch(sc Scale, workers int) (*BatchResult, error) {
 		}
 		if row.MaxRelDiff > 1e-9 {
 			return nil, fmt.Errorf("experiments: batch %s: batched forces deviate %.2e from per-atom reference", sys.label, row.MaxRelDiff)
-		}
-		var rPar core.Result
-		if row.BatchedPar, err = timeEval(evPar, &rPar); err != nil {
-			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -114,30 +114,15 @@ func CompressEmbedding(sc Scale, workers int) (*CompressResult, error) {
 			return nil, err
 		}
 
-		var rBat, rCmp core.Result
-		timeEval := func(ev *core.Evaluator[float64], out *core.Result) (time.Duration, error) {
-			best := time.Duration(0)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				if err := ev.Compute(pos, types, n, lb.l, lb.b, out); err != nil {
-					return 0, err
-				}
-				if el := time.Since(start); best == 0 || el < best {
-					best = el
-				}
-			}
-			return best, nil
-		}
-		if row.Batched, err = timeEval(evBat, &rBat); err != nil {
+		var rBat, rCmp, rPar core.Result
+		t, err := measure(reps,
+			func() error { return evBat.Compute(pos, types, n, lb.l, lb.b, &rBat) },
+			func() error { return evCmp.Compute(pos, types, n, lb.l, lb.b, &rCmp) },
+			func() error { return evPar.Compute(pos, types, n, lb.l, lb.b, &rPar) })
+		if err != nil {
 			return nil, err
 		}
-		if row.Compressed, err = timeEval(evCmp, &rCmp); err != nil {
-			return nil, err
-		}
-		var rPar core.Result
-		if row.CompressedPar, err = timeEval(evPar, &rPar); err != nil {
-			return nil, err
-		}
+		row.Batched, row.Compressed, row.CompressedPar = t[0], t[1], t[2]
 		// Both compressed runs — serial and worker-parallel — are checked
 		// against the exact pipeline, so a partitioning bug on the
 		// parallel path cannot ship a timing row without a correctness

@@ -30,9 +30,11 @@ func TestTable3Shape(t *testing.T) {
 }
 
 // Each fusion must beat its unfused counterpart — the Sec. 7.1.2 shape.
-// The per-row margins are load-sensitive on a busy single-core box
-// (best-of-3 reps still flakes under full-suite load), so a failed
-// ordering gets a bounded retry before counting as a real regression.
+// The TANH fusion saves about a tenth of a ~15 ms operation. With two
+// busy loops on a 2-core host, loaded runs misorder it no less often
+// with 30 interleaved samples per variant than with 3 (the margin drifts
+// with the host's load over seconds), so a failed ordering gets a
+// bounded retry, spread in time, before counting as a real regression.
 func TestFusionShape(t *testing.T) {
 	const attempts = 3
 	var bad []string
@@ -411,36 +413,6 @@ func TestGemmRecords(t *testing.T) {
 		}
 		if rec.Kernel == "" {
 			t.Fatalf("record %s missing kernel attribution", rec.Shape)
-		}
-	}
-}
-
-// The serve experiment must report both systems at both concurrency
-// levels with bit-identity verified internally (Serve errors otherwise),
-// and its records must carry the trajectory shape dpbench -json commits.
-func TestServeShape(t *testing.T) {
-	res, err := Serve(Quick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Conc != 2 || len(res.Rows) != 2 {
-		t.Fatalf("conc = %d, rows = %d, want 2 and water+copper", res.Conc, len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.Serial <= 0 || r.Concurrent <= 0 || r.Speedup <= 0 {
-			t.Fatalf("%s: non-positive measurement %+v", r.Label, r)
-		}
-	}
-	if s := res.String(); !strings.Contains(s, "water") || !strings.Contains(s, "conc x2") {
-		t.Fatal("serve table missing a system row or the concurrency column")
-	}
-	recs := res.Records()
-	if len(recs) != 4 {
-		t.Fatalf("records = %d, want 2 per system", len(recs))
-	}
-	for _, rec := range recs {
-		if rec.Experiment != "serve" || rec.NsPerOp <= 0 || rec.Speedup <= 0 {
-			t.Fatalf("bad record %+v", rec)
 		}
 	}
 }

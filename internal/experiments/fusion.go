@@ -32,9 +32,10 @@ func (r FusionRow) Speedup() float64 {
 	return float64(r.Unfused) / float64(r.Fused)
 }
 
-// Fusion measures the three fusions. rows is the batch height; the paper's
-// example is 376,832 x 50 (oxygen-hydrogen pairs of 4,096 molecules); Quick
-// uses a smaller batch.
+// Fusion measures the three fusions, taking at least reps samples of each
+// variant (see measure). rows is the batch height; the paper's example is
+// 376,832 x 50 (oxygen-hydrogen pairs of 4,096 molecules); Quick uses a
+// smaller batch.
 func Fusion(sc Scale, reps int) *FusionResult {
 	rows := 376832 / 64
 	if sc == Full {
@@ -55,44 +56,41 @@ func Fusion(sc Scale, reps int) *FusionResult {
 		bias[i] = rng.NormFloat64()
 	}
 
-	res := &FusionResult{}
-	timeIt := func(f func()) time.Duration {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			f()
-		}
-		return time.Since(start) / time.Duration(reps)
-	}
-
-	// MATMUL + SUM vs fused GEMM-with-bias.
-	un := timeIt(func() { tensor.BiasAdd(nil, tensor.MatMul(nil, x, w), bias) })
 	dst := tensor.NewMatrix[float64](rows, out)
-	fu := timeIt(func() { tensor.GemmBias(nil, x, w, bias, dst) })
-	res.Rows = append(res.Rows, FusionRow{"MATMUL+SUM -> GEMM", un, fu, fmt.Sprintf("%dx%dx%d", rows, in, out)})
-
-	// CONCAT + SUM vs in-place skip add.
 	y := tensor.NewMatrix[float64](rows, 2*in)
 	for i := range y.Data {
 		y.Data[i] = rng.NormFloat64()
 	}
-	un = timeIt(func() { tensor.Add(nil, tensor.ConcatCols(nil, x), y) })
 	ywork := y.Clone()
-	fu = timeIt(func() { tensor.AddSkipDouble(nil, x, ywork) })
-	res.Rows = append(res.Rows, FusionRow{"CONCAT+SUM -> skip add", un, fu, fmt.Sprintf("%dx%d", rows, 2*in)})
-
-	// TANH then TANHGrad vs fused production during the same pass.
 	pre := tensor.NewMatrix[float64](rows, out)
 	for i := range pre.Data {
 		pre.Data[i] = rng.NormFloat64()
 	}
-	un = timeIt(func() {
-		t := tensor.Tanh(nil, pre)
-		tensor.TanhGrad(nil, t)
-	})
 	yv := tensor.NewMatrix[float64](rows, out)
 	gv := tensor.NewMatrix[float64](rows, out)
-	fu = timeIt(func() { tensor.TanhWithGrad(nil, pre, yv, gv) })
-	res.Rows = append(res.Rows, FusionRow{"TANH+TANHGrad -> fused", un, fu, fmt.Sprintf("%dx%d", rows, out)})
+
+	res := &FusionResult{}
+	for _, c := range []struct {
+		name, shape    string
+		unfused, fused func()
+	}{
+		// MATMUL + SUM vs fused GEMM-with-bias.
+		{"MATMUL+SUM -> GEMM", fmt.Sprintf("%dx%dx%d", rows, in, out),
+			func() { tensor.BiasAdd(nil, tensor.MatMul(nil, x, w), bias) },
+			func() { tensor.GemmBias(nil, x, w, bias, dst) }},
+		// CONCAT + SUM vs in-place skip add.
+		{"CONCAT+SUM -> skip add", fmt.Sprintf("%dx%d", rows, 2*in),
+			func() { tensor.Add(nil, tensor.ConcatCols(nil, x), y) },
+			func() { tensor.AddSkipDouble(nil, x, ywork) }},
+		// TANH then TANHGrad vs fused production during the same pass.
+		{"TANH+TANHGrad -> fused", fmt.Sprintf("%dx%d", rows, out),
+			func() { tensor.TanhGrad(nil, tensor.Tanh(nil, pre)) },
+			func() { tensor.TanhWithGrad(nil, pre, yv, gv) }},
+	} {
+		// The tensor kernels cannot fail, so neither can measure.
+		t, _ := measure(reps, noErr(c.unfused), noErr(c.fused))
+		res.Rows = append(res.Rows, FusionRow{c.name, t[0], t[1], c.shape})
+	}
 	return res
 }
 

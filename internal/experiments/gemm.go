@@ -91,38 +91,18 @@ func GemmKernels(sc Scale, workers int) (*GemmResult, error) {
 		cVar := tensor.NewMatrix[float64](s.m, s.n)
 		cPar := tensor.NewMatrix[float64](s.m, s.n)
 		row := GemmRow{Label: s.label, M: s.m, K: s.k, N: s.n}
-		timeGemm := func(o tensor.Opts, c tensor.Matrix[float64]) time.Duration {
-			best := time.Duration(0)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				tensor.GemmOpt(o, nil, 1, a, b, 0, c)
-				if el := time.Since(start); best == 0 || el < best {
-					best = el
-				}
-			}
-			return best
+		gemm := func(o tensor.Opts, c tensor.Matrix[float64]) func() error {
+			return noErr(func() { tensor.GemmOpt(o, nil, 1, a, b, 0, c) })
 		}
-		timeFused := func(o tensor.Opts, y, grad tensor.Matrix[float64]) time.Duration {
-			best := time.Duration(0)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				tensor.GemmBiasTanhGradOpt(o, nil, a, b, bias, y, grad)
-				if el := time.Since(start); best == 0 || el < best {
-					best = el
-				}
-			}
-			return best
-		}
-		row.Naive = timeGemm(tensor.Opts{Kernel: tensor.Naive}, cRef)
-		var err error
-		row.Blocked, err = withFamily(cpufeat.Generic, func() time.Duration {
-			return timeGemm(tensor.Opts{}, cVar)
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.SIMD = timeGemm(tensor.Opts{}, cVar)
-		row.Par = timeGemm(tensor.Opts{Workers: workers}, cPar)
+		// The fused operator reuses the verification matrices as its
+		// activation/gradient outputs, so it runs after the checks.
+		fused := noErr(func() { tensor.GemmBiasTanhGradOpt(tensor.Opts{}, nil, a, b, bias, cRef, cPar) })
+		// The kernels cannot fail, so neither can measure.
+		t, _ := measure(reps,
+			gemm(tensor.Opts{Kernel: tensor.Naive}, cRef),
+			gemm(tensor.Opts{}, cVar),
+			gemm(tensor.Opts{Workers: workers}, cPar))
+		row.Naive, row.SIMD, row.Par = t[0], t[1], t[2]
 		for i := range cRef.Data {
 			if d := math.Abs(cVar.Data[i] - cRef.Data[i]); d > row.MaxDiff {
 				row.MaxDiff = d
@@ -131,15 +111,14 @@ func GemmKernels(sc Scale, workers int) (*GemmResult, error) {
 				return nil, fmt.Errorf("experiments: gemm %s: workers=%d not bit-identical to serial at element %d", s.label, workers, i)
 			}
 		}
-		// The fused operator reuses the verification matrices as its
-		// activation/gradient outputs; all cross-variant checks are done.
-		row.Fused2P, err = withFamily(cpufeat.Generic, func() time.Duration {
-			return timeFused(tensor.Opts{}, cRef, cPar)
+		blocked, err := withFamily(cpufeat.Generic, func() ([]time.Duration, error) {
+			return measure(reps, gemm(tensor.Opts{}, cVar), fused)
 		})
 		if err != nil {
 			return nil, err
 		}
-		row.Fused = timeFused(tensor.Opts{}, cRef, cPar)
+		t, _ = measure(reps, fused)
+		row.Blocked, row.Fused2P, row.Fused = blocked[0], blocked[1], t[0]
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -147,15 +126,15 @@ func GemmKernels(sc Scale, workers int) (*GemmResult, error) {
 
 // withFamily runs f with the kernel family forced to fam, restoring the
 // previous selection afterwards.
-func withFamily(fam cpufeat.Family, f func() time.Duration) (time.Duration, error) {
+func withFamily(fam cpufeat.Family, f func() ([]time.Duration, error)) ([]time.Duration, error) {
 	prev := cpufeat.Active()
 	//dp:allow dispatch the family sweep is this experiment's purpose; Active() is restored below
 	if _, err := cpufeat.SetActive(fam); err != nil {
-		return 0, fmt.Errorf("experiments: forcing %v kernels: %w", fam, err)
+		return nil, fmt.Errorf("experiments: forcing %v kernels: %w", fam, err)
 	}
 	//dp:allow dispatch restores the selection captured above
 	defer cpufeat.SetActive(prev)
-	return f(), nil
+	return f()
 }
 
 func gflops(m, k, n int, d time.Duration) string {

@@ -146,10 +146,9 @@ func Load(sc Scale, conc int, url string) (*LoadResult, error) {
 		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
 		return merged, wall, nil
 	}
-	// measure warms the path once un-measured (arena and batch-slot
-	// growth), then keeps the best-wall round — the same best-of-rounds
-	// policy the other experiments use against scheduler noise.
-	measure := func(leg string, c int, eval func(g int, v *variant, ref *core.Result) error) (LoadRow, error) {
+	// cell warms the path once un-measured (arena and batch-slot
+	// growth), then keeps the best-wall round against scheduler noise.
+	cell := func(leg string, c int, eval func(g int, v *variant, ref *core.Result) error) (LoadRow, error) {
 		if _, _, err := drive(c, eval); err != nil {
 			return LoadRow{}, err
 		}
@@ -188,7 +187,7 @@ func Load(sc Scale, conc int, url string) (*LoadResult, error) {
 		}
 		var base LoadRow
 		for _, c := range concs {
-			r, err := measure("http", c, func(g int, v *variant, ref *core.Result) error {
+			r, err := cell("http", c, func(g int, v *variant, ref *core.Result) error {
 				return httpEvaluate(client, url, bodies[g%loadVariants], ref)
 			})
 			if err != nil {
@@ -211,7 +210,7 @@ func Load(sc Scale, conc int, url string) (*LoadResult, error) {
 	for _, c := range concs {
 		// Pool leg: per-request evaluation on the engine's evaluator pool,
 		// exactly the PR 5 serving configuration.
-		pool, err := measure("pool", c, func(g int, v *variant, ref *core.Result) error {
+		pool, err := cell("pool", c, func(g int, v *variant, ref *core.Result) error {
 			out := &outs[g]
 			if err := engine.EvaluateInto(v.pos, v.types, n, v.lb.l, v.lb.b, out); err != nil {
 				return err
@@ -233,7 +232,7 @@ func Load(sc Scale, conc int, url string) (*LoadResult, error) {
 			QueueLimit:  4 * c,
 			Dispatchers: min(c, runtime.GOMAXPROCS(0)),
 		})
-		batch, err := measure("batch", c, func(g int, v *variant, ref *core.Result) error {
+		batch, err := cell("batch", c, func(g int, v *variant, ref *core.Result) error {
 			out := &outs[g]
 			if err := bat.Compute(v.pos, v.types, n, v.lb.l, v.lb.b, out); err != nil {
 				return err

@@ -41,32 +41,27 @@ func NeighborBuild(sc Scale, maxWorkers int) (*NeighborResult, error) {
 	}
 	counts = append(counts, maxWorkers)
 
-	res := &NeighborResult{Atoms: cell.N()}
-	var ref *neighbor.List
-	for _, w := range counts {
-		best := time.Duration(0)
-		var list *neighbor.List
-		for r := 0; r < reps; r++ {
-			start := time.Now()
+	lists := make([]*neighbor.List, len(counts))
+	builds := make([]func() error, len(counts))
+	for i, w := range counts {
+		builds[i] = func() error {
 			l, err := neighbor.Build(spec, cell.Pos, cell.Types, cell.N(), &cell.Box, w)
-			if err != nil {
-				return nil, err
-			}
-			if el := time.Since(start); best == 0 || el < best {
-				best = el
-			}
-			list = l
+			lists[i] = l
+			return err
 		}
-		if ref == nil {
-			ref = list
-			for _, row := range ref.Entries {
-				res.Pairs += len(row)
-			}
-		} else if err := sameList(ref, list); err != nil {
+	}
+	times, err := measure(reps, builds...)
+	if err != nil {
+		return nil, err
+	}
+	res := &NeighborResult{Atoms: cell.N(), Workers: counts, Times: times}
+	for _, row := range lists[0].Entries {
+		res.Pairs += len(row)
+	}
+	for i, w := range counts[1:] {
+		if err := sameList(lists[0], lists[i+1]); err != nil {
 			return nil, fmt.Errorf("experiments: workers=%d: %w", w, err)
 		}
-		res.Workers = append(res.Workers, w)
-		res.Times = append(res.Times, best)
 	}
 	return res, nil
 }

@@ -144,23 +144,13 @@ func Mixed(sc Scale, reps int) (*MixedResult, error) {
 	}
 	rmsd = math.Sqrt(rmsd / float64(3*n))
 
-	timeEval := func(f func() error) (time.Duration, error) {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start) / time.Duration(reps), nil
-	}
-	td, err := timeEval(func() error { return evD.Compute(pos, types, n, list, box, &rd) })
+	t, err := measure(reps,
+		func() error { return evD.Compute(pos, types, n, list, box, &rd) },
+		func() error { return evM.Compute(pos, types, n, list, box, &rm) })
 	if err != nil {
 		return nil, err
 	}
-	tm, err := timeEval(func() error { return evM.Compute(pos, types, n, list, box, &rm) })
-	if err != nil {
-		return nil, err
-	}
+	td, tm := t[0], t[1]
 
 	nmol := n / 3
 	return &MixedResult{
@@ -210,34 +200,17 @@ func Single(sc Scale, reps int) (*SingleResult, error) {
 	n := len(types)
 	var out core.Result
 
-	res := &SingleResult{Atoms: n}
 	base := core.NewBaselineEvaluator(model)
-	start := time.Now()
-	for r := 0; r < reps; r++ {
-		if err := base.Compute(pos, types, n, list, box, &out); err != nil {
-			return nil, err
-		}
-	}
-	res.Baseline = time.Since(start) / time.Duration(reps)
-
 	evD := core.NewEvaluator[float64](model)
-	start = time.Now()
-	for r := 0; r < reps; r++ {
-		if err := evD.Compute(pos, types, n, list, box, &out); err != nil {
-			return nil, err
-		}
-	}
-	res.Double = time.Since(start) / time.Duration(reps)
-
 	evM := core.NewEvaluator[float32](model)
-	start = time.Now()
-	for r := 0; r < reps; r++ {
-		if err := evM.Compute(pos, types, n, list, box, &out); err != nil {
-			return nil, err
-		}
+	t, err := measure(reps,
+		func() error { return base.Compute(pos, types, n, list, box, &out) },
+		func() error { return evD.Compute(pos, types, n, list, box, &out) },
+		func() error { return evM.Compute(pos, types, n, list, box, &out) })
+	if err != nil {
+		return nil, err
 	}
-	res.Mixed = time.Since(start) / time.Duration(reps)
-	return res, nil
+	return &SingleResult{Atoms: n, Baseline: t[0], Double: t[1], Mixed: t[2]}, nil
 }
 
 // String prints the aggregate speedups.

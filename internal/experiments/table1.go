@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"deepmd-go/internal/core"
 	"deepmd-go/internal/perfmodel"
@@ -37,31 +36,17 @@ func Table1(sc Scale) (*Table1Result, error) {
 	n := len(types)
 	var out core.Result
 
-	measure := func(f func() error) (float64, error) {
-		const reps = 3
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Seconds() / reps / float64(n), nil
-	}
 	base := core.NewBaselineEvaluator(model)
-	tb, err := measure(func() error { return base.Compute(pos, types, n, list, box, &out) })
-	if err != nil {
-		return nil, err
-	}
 	opt := core.NewEvaluator[float64](model)
-	to, err := measure(func() error { return opt.Compute(pos, types, n, list, box, &out) })
-	if err != nil {
-		return nil, err
-	}
 	mix := core.NewEvaluator[float32](model)
-	tm, err := measure(func() error { return mix.Compute(pos, types, n, list, box, &out) })
+	t, err := measure(3,
+		func() error { return base.Compute(pos, types, n, list, box, &out) },
+		func() error { return opt.Compute(pos, types, n, list, box, &out) },
+		func() error { return mix.Compute(pos, types, n, list, box, &out) })
 	if err != nil {
 		return nil, err
 	}
+	tb, to, tm := t[0].Seconds()/float64(n), t[1].Seconds()/float64(n), t[2].Seconds()/float64(n)
 	host := "this host (1 CPU)"
 	res.LocalRows = []perfmodel.Table1Row{
 		{Work: "This library, baseline strategy", Year: 2020, Potential: "DP", System: "H2O", Atoms: float64(n), Machine: host, TtS: tb},

@@ -35,7 +35,8 @@ func (r Table3Row) Speedup() float64 {
 }
 
 // Table3 measures the three customized operators. nx is the water box
-// edge in molecules; reps averages repetitions.
+// edge in molecules; reps is the least number of samples per operator
+// variant (see measure).
 func Table3(sc Scale, nx, reps int) (*Table3Result, error) {
 	cfg := waterModelConfig(sc)
 	dcfg := descriptor.Config{Rcut: cfg.Rcut, RcutSmth: cfg.RcutSmth, Sel: cfg.Sel}
@@ -60,37 +61,34 @@ func Table3(sc Scale, nx, reps int) (*Table3Result, error) {
 	}
 	force := make([]float64, 3*n)
 
-	timeIt := func(f func()) time.Duration {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			f()
-		}
-		return time.Since(start) / time.Duration(reps)
-	}
-
 	var scratch descriptor.Scratch
-	envBase := timeIt(func() {
-		if _, err := descriptor.EnvironmentBaseline(nil, dcfg, pos, types, list, box); err != nil {
-			panic(err)
+	for _, op := range []struct {
+		name          string
+		baseline, opt func() error
+	}{
+		{"Environment", func() error {
+			_, err := descriptor.EnvironmentBaseline(nil, dcfg, pos, types, list, box)
+			return err
+		}, func() error {
+			_, err := scratch.Environment(nil, dcfg, pos, types, list, box)
+			return err
+		}},
+		{"ProdVirial",
+			noErr(func() { descriptor.ProdVirialBaseline(nil, nd, env) }),
+			noErr(func() { descriptor.ProdVirial(nil, nd, env) })},
+		{"ProdForce",
+			noErr(func() { descriptor.ProdForceBaseline(nil, nd, env, n) }),
+			noErr(func() {
+				clear(force)
+				descriptor.ProdForce(nil, nd, env, force)
+			})},
+	} {
+		t, err := measure(reps, op.baseline, op.opt)
+		if err != nil {
+			return nil, err
 		}
-	})
-	envOpt := timeIt(func() {
-		if _, err := scratch.Environment(nil, dcfg, pos, types, list, box); err != nil {
-			panic(err)
-		}
-	})
-	res.Rows = append(res.Rows, Table3Row{"Environment", envBase, envOpt})
-
-	virBase := timeIt(func() { descriptor.ProdVirialBaseline(nil, nd, env) })
-	virOpt := timeIt(func() { descriptor.ProdVirial(nil, nd, env) })
-	res.Rows = append(res.Rows, Table3Row{"ProdVirial", virBase, virOpt})
-
-	frcBase := timeIt(func() { descriptor.ProdForceBaseline(nil, nd, env, n) })
-	frcOpt := timeIt(func() {
-		clear(force)
-		descriptor.ProdForce(nil, nd, env, force)
-	})
-	res.Rows = append(res.Rows, Table3Row{"ProdForce", frcBase, frcOpt})
+		res.Rows = append(res.Rows, Table3Row{op.name, t[0], t[1]})
+	}
 	return res, nil
 }
 
@@ -110,27 +108,21 @@ func (r *Table3Result) String() string {
 // Sec. 5.2.2 on real neighbor data.
 func AblationSort(sc Scale, nx, reps int) (structSort, radixSort time.Duration, err error) {
 	cfg := waterModelConfig(sc)
-	pos, types, list, _, err := waterBox(&cfg, nx, 4)
+	_, _, list, _, err := waterBox(&cfg, nx, 4)
 	if err != nil {
 		return 0, 0, err
 	}
-	_ = pos
-	_ = types
 	spec := neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}
 	var fm neighbor.Formatter
-	start := time.Now()
-	for r := 0; r < reps; r++ {
-		if _, err := neighbor.FormatBaseline(spec, list); err != nil {
-			return 0, 0, err
-		}
+	t, err := measure(reps, func() error {
+		_, err := neighbor.FormatBaseline(spec, list)
+		return err
+	}, func() error {
+		_, err := fm.Format(spec, list)
+		return err
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	structSort = time.Since(start) / time.Duration(reps)
-	start = time.Now()
-	for r := 0; r < reps; r++ {
-		if _, err := fm.Format(spec, list); err != nil {
-			return 0, 0, err
-		}
-	}
-	radixSort = time.Since(start) / time.Duration(reps)
-	return structSort, radixSort, nil
+	return t[0], t[1], nil
 }

@@ -20,7 +20,7 @@
 // Coalescing never changes the physics: batched-across-callers results
 // are bit-identical to serial per-request evaluation at every coalesce
 // size (core.Engine.ComputeBatch's contract, verified in-test the same
-// way experiments.Serve cross-checks the pool).
+// way experiments.Load cross-checks the pool).
 package serve
 
 import (

@@ -88,7 +88,7 @@ func waterEngine(t *testing.T, maxConc int) (*core.Engine, []core.Frame, []core.
 // TestBatcherBitIdenticalAcrossCoalesceSizes is the acceptance contract
 // of ISSUE 7: concurrent callers answered through the micro-batcher get
 // results bit-identical to serial per-request evaluation at every
-// coalesce window and batch cap — the same cross-check experiments.Serve
+// coalesce window and batch cap — the same cross-check experiments.Load
 // runs for the pool.
 func TestBatcherBitIdenticalAcrossCoalesceSizes(t *testing.T) {
 	eng, sysFrames, refs := waterEngine(t, 2)
