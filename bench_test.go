@@ -639,7 +639,7 @@ func BenchmarkEngineServe(b *testing.B) {
 					defer wg.Done()
 					var out core.Result
 					for i := 0; i < k; i++ {
-						if err := eng.EvaluateInto(cell.Pos, cell.Types, n, list, &cell.Box, &out); err != nil {
+						if err := eng.Compute(cell.Pos, cell.Types, n, list, &cell.Box, &out); err != nil {
 							errs[g] = err
 							return
 						}

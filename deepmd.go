@@ -30,7 +30,7 @@
 //		deepmd.WithMaxConcurrency(16))          // concurrent evaluations served
 //
 // One Engine serves any number of goroutines: concurrent Compute /
-// EvaluateInto calls each borrow a pooled evaluator (zero steady-state
+// ComputeBatch calls each borrow a pooled evaluator (zero steady-state
 // allocation), and Ensemble runs k replica simulations over the shared
 // pool. See examples/ for complete programs and DESIGN.md ("Engine & plan
 // resolution") / EXPERIMENTS.md for the reproduction map.
@@ -158,10 +158,6 @@ func WithStrategy(s Strategy) Option { return func(pl *Plan) { pl.Strategy = s }
 // the engine.
 func WithWorkers(n int) Option { return func(pl *Plan) { pl.Workers = n } }
 
-// WithGemmWorkers overrides the goroutine count inside each blocked GEMM
-// call when the chunk loop is serial (default: WithWorkers' value).
-func WithGemmWorkers(n int) Option { return func(pl *Plan) { pl.GemmWorkers = n } }
-
 // WithMaxConcurrency bounds how many concurrent evaluations the engine
 // serves — the size of its pooled-evaluator free list (default:
 // GOMAXPROCS). Evaluators are built lazily, so an over-provisioned bound
@@ -171,7 +167,7 @@ func WithMaxConcurrency(n int) Option { return func(pl *Plan) { pl.MaxConcurrenc
 // Engine is the goroutine-safe serving handle over one model: a resolved
 // Plan plus a pool of per-goroutine evaluators with their arenas. It
 // implements Potential, so it plugs into NewSimulation and RunParallel
-// seams directly, and exposes Evaluate / EvaluateInto for raw force
+// seams directly, and exposes Evaluate / Compute for raw force
 // calls from concurrent goroutines with zero steady-state allocation.
 type Engine struct {
 	*core.Engine

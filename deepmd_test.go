@@ -104,11 +104,6 @@ func TestOpenMatchesLegacySurface(t *testing.T) {
 		}, []Option{WithPrecision(Mixed), WithStrategy(Compressed)}},
 		{"baseline", func() Potential { return core.NewBaselineEvaluator(model) },
 			[]Option{WithStrategy(Baseline)}},
-		{"double-gemmworkers2", func() Potential {
-			ev := core.NewEvaluator[float64](model)
-			ev.SetGemmWorkers(2)
-			return ev
-		}, []Option{WithStrategy(Batched), WithGemmWorkers(2)}},
 		{"double-setter-roundtrip", func() Potential {
 			// Toggling strategies post hoc must land back on batched.
 			ev := core.NewEvaluator[float64](model)

@@ -1,6 +1,6 @@
 // Package cliopt is the shared flag surface of the cmd/ binaries: one
 // table of engine-related flags (-precision, -strategy, -workers,
-// -gemm-workers, -concurrency) and one translation into deepmd.Open
+// -concurrency) and one translation into deepmd.Open
 // options, so every binary resolves the same spelling the same way
 // instead of growing divergent per-binary strategy flags.
 package cliopt
@@ -23,9 +23,6 @@ type Set struct {
 	// Workers is the per-evaluation goroutine budget; it also feeds
 	// neighbor-list builds through the engine's worker hint.
 	Workers int
-	// GemmWorkers is the intra-GEMM row-block goroutine count (0 follows
-	// Workers).
-	GemmWorkers int
 	// MaxConcurrency is the engine's pooled-evaluator bound (0 means
 	// GOMAXPROCS).
 	MaxConcurrency int
@@ -38,7 +35,6 @@ func Bind(fs *flag.FlagSet, defaultWorkers int) *Set {
 	fs.StringVar(&s.Precision, "precision", "double", "double | mixed network math")
 	fs.StringVar(&s.Strategy, "strategy", "auto", "descriptor execution strategy: auto | baseline | peratom | batched | compressed (auto picks the fastest legal one)")
 	fs.IntVar(&s.Workers, "workers", defaultWorkers, "goroutines per evaluation (chunk fan-out / intra-GEMM row blocks) and neighbor-list builds")
-	fs.IntVar(&s.GemmWorkers, "gemm-workers", 0, "goroutines inside each blocked GEMM call when the chunk loop is serial (0: follow -workers)")
 	fs.IntVar(&s.MaxConcurrency, "concurrency", 0, "concurrent evaluations the engine serves from its evaluator pool (0: GOMAXPROCS)")
 	return s
 }
@@ -88,7 +84,6 @@ func (s *Set) Options() ([]deepmd.Option, error) {
 		deepmd.WithPrecision(p),
 		deepmd.WithStrategy(st),
 		deepmd.WithWorkers(s.Workers),
-		deepmd.WithGemmWorkers(s.GemmWorkers),
 		deepmd.WithMaxConcurrency(s.MaxConcurrency),
 	}, nil
 }

@@ -2,6 +2,7 @@ package cliopt
 
 import (
 	"flag"
+	"io"
 	"testing"
 
 	deepmd "deepmd-go"
@@ -36,15 +37,15 @@ func TestFlagTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Precision != deepmd.Double || p.Strategy != deepmd.Batched || p.Workers != 2 || p.GemmWorkers != 2 {
+	if p.Precision != deepmd.Double || p.Strategy != deepmd.Batched || p.Workers != 2 {
 		t.Fatalf("default plan %+v", p)
 	}
 
-	_, p, err = parse(t, "-precision", "mixed", "-strategy", "peratom", "-workers", "4", "-gemm-workers", "3", "-concurrency", "5")
+	_, p, err = parse(t, "-precision", "mixed", "-strategy", "peratom", "-workers", "4", "-concurrency", "5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Precision != deepmd.Mixed || p.Strategy != deepmd.PerAtom || p.Workers != 4 || p.GemmWorkers != 3 || p.MaxConcurrency != 5 {
+	if p.Precision != deepmd.Mixed || p.Strategy != deepmd.PerAtom || p.Workers != 4 || p.MaxConcurrency != 5 {
 		t.Fatalf("explicit plan %+v", p)
 	}
 }
@@ -57,5 +58,12 @@ func TestSpellingErrors(t *testing.T) {
 	}
 	if _, _, err := parse(t, "-strategy", "turbo"); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+	// The intra-GEMM budget follows -workers; there is no separate flag.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Bind(fs, 2)
+	if err := fs.Parse([]string{"-gemm-workers", "3"}); err == nil {
+		t.Fatal("unknown flag -gemm-workers accepted")
 	}
 }

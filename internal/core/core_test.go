@@ -324,20 +324,30 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 	mP := &Model{Cfg: cfgP, Embed: m.Embed, Fit: m.Fit}
 	par := NewEvaluator[float64](mP)
 
+	// The trainer's configuration: serial chunk loop, parallel GEMM rows.
+	gemm := NewEvaluator[float64](m)
+	gemm.SetGemmWorkers(4)
+
 	pos, types, list, box := testSystem(t, 9, 50, &cfg)
-	var rs, rp Result
+	var rs Result
 	if err := serial.Compute(pos, types, 50, list, box, &rs); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Compute(pos, types, 50, list, box, &rp); err != nil {
-		t.Fatal(err)
-	}
-	if rs.Energy != rp.Energy {
-		t.Fatalf("parallel energy %g != serial %g", rp.Energy, rs.Energy)
-	}
-	for i := range rs.Force {
-		if rs.Force[i] != rp.Force[i] {
-			t.Fatalf("parallel force[%d] differs", i)
+	for _, c := range []struct {
+		name string
+		ev   *Evaluator[float64]
+	}{{"parallel", par}, {"gemm-workers", gemm}} {
+		var rp Result
+		if err := c.ev.Compute(pos, types, 50, list, box, &rp); err != nil {
+			t.Fatal(err)
+		}
+		if rs.Energy != rp.Energy {
+			t.Fatalf("%s energy %g != serial %g", c.name, rp.Energy, rs.Energy)
+		}
+		for i := range rs.Force {
+			if rs.Force[i] != rp.Force[i] {
+				t.Fatalf("%s force[%d] differs", c.name, i)
+			}
 		}
 	}
 }

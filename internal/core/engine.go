@@ -18,7 +18,7 @@ type computer interface {
 
 // Engine is the goroutine-safe serving entry point over one model: a
 // resolved execution Plan plus a pool of per-goroutine evaluators with
-// their arenas. Every concurrent Compute/EvaluateInto call borrows one
+// their arenas. Every concurrent Compute/ComputeBatch call borrows one
 // evaluator for its duration, so N independent systems or replicas
 // evaluate in parallel with zero steady-state heap allocation — the
 // paper's init-time memory-trunk strategy (Sec. 5.2.2) extended across a
@@ -119,7 +119,6 @@ func (e *Engine) newComputer() (computer, error) {
 // precision T per the plan.
 func buildEvaluator[T tensor.Float](m *Model, plan Plan) (computer, error) {
 	ev := NewEvaluator[T](m)
-	ev.SetGemmWorkers(plan.GemmWorkers)
 	switch plan.Strategy {
 	case StrategyPerAtom:
 		ev.SetPerAtomDescriptors(true)
@@ -189,13 +188,6 @@ func (e *Engine) Compute(pos []float64, types []int, nloc int, list *neighbor.Li
 	return c.Compute(pos, types, nloc, list, box, out)
 }
 
-// EvaluateInto is Compute under the serving-API name: one evaluation of
-// the system described by (pos, types, nloc, list, box) into out,
-// goroutine-safe, reusing out's buffers when adequately sized.
-func (e *Engine) EvaluateInto(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
-	return e.Compute(pos, types, nloc, list, box, out)
-}
-
 // Prewarm builds the engine's full evaluator pool and warms it with one
 // evaluation of the given system per pool slot, so subsequent calls at
 // any concurrency level hit warm arenas and allocate nothing — the
@@ -247,9 +239,9 @@ func (e *Engine) Prewarm(pos []float64, types []int, nloc int, list *neighbor.Li
 	return nil
 }
 
-// Evaluate is EvaluateInto with a freshly allocated Result — the
-// convenient form for callers that do not manage result buffers. Serving
-// hot paths should prefer EvaluateInto with a per-goroutine Result.
+// Evaluate is Compute with a freshly allocated Result — the convenient
+// form for callers that do not manage result buffers. Serving hot paths
+// should prefer Compute with a per-goroutine Result.
 func (e *Engine) Evaluate(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box) (*Result, error) {
 	out := new(Result)
 	if err := e.Compute(pos, types, nloc, list, box, out); err != nil {

@@ -58,7 +58,7 @@ func TestResolvePlan(t *testing.T) {
 			if got.Precision != tc.want.Precision || got.Strategy != tc.want.Strategy {
 				t.Fatalf("resolved %s/%s, want %s/%s", got.Precision, got.Strategy, tc.want.Precision, tc.want.Strategy)
 			}
-			if got.Workers < 1 || got.GemmWorkers < 1 || got.MaxConcurrency < 1 {
+			if got.Workers < 1 || got.MaxConcurrency < 1 {
 				t.Fatalf("unresolved defaults in %+v", got)
 			}
 			if got.Strategy == StrategyBaseline && tc.req.Workers > 0 && got.Workers != tc.req.Workers {
@@ -67,8 +67,8 @@ func TestResolvePlan(t *testing.T) {
 		})
 	}
 
-	// Worker/concurrency defaulting chain: explicit workers flow into
-	// gemm workers; the model's configured Workers is the fallback.
+	// Worker/concurrency defaulting: the model's configured Workers is the
+	// fallback; explicit budgets are preserved.
 	wcfg := TinyConfig(2)
 	wcfg.Workers = 3
 	wm, err := New(wcfg)
@@ -79,14 +79,14 @@ func TestResolvePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers != 3 || p.GemmWorkers != 3 {
-		t.Fatalf("model-default workers: got %d/%d, want 3/3", p.Workers, p.GemmWorkers)
+	if p.Workers != 3 {
+		t.Fatalf("model-default workers: got %d, want 3", p.Workers)
 	}
-	p, err = ResolvePlan(wm, Plan{Workers: 2, GemmWorkers: 5, MaxConcurrency: 7})
+	p, err = ResolvePlan(wm, Plan{Workers: 2, MaxConcurrency: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers != 2 || p.GemmWorkers != 5 || p.MaxConcurrency != 7 {
+	if p.Workers != 2 || p.MaxConcurrency != 7 {
 		t.Fatalf("explicit budgets not preserved: %+v", p)
 	}
 }
@@ -151,7 +151,7 @@ func TestEngineConcurrentBitIdentical(t *testing.T) {
 					go func(g int) {
 						defer wg.Done()
 						for k := 0; k < evals; k++ {
-							if err := e.EvaluateInto(pos, types, n, list, box, &outs[g]); err != nil {
+							if err := e.Compute(pos, types, n, list, box, &outs[g]); err != nil {
 								errs[g] = err
 								return
 							}
@@ -206,17 +206,17 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	n := len(types)
 	var out Result
 	for i := 0; i < 2; i++ {
-		if err := e.EvaluateInto(pos, types, n, list, box, &out); err != nil {
+		if err := e.Compute(pos, types, n, list, box, &out); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := e.EvaluateInto(pos, types, n, list, box, &out); err != nil {
+		if err := e.Compute(pos, types, n, list, box, &out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state EvaluateInto allocated %.1f times per call, want 0", allocs)
+		t.Fatalf("steady-state Compute allocated %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -230,7 +230,7 @@ func TestEngineBaselineMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got, want Result
-	if err := e.EvaluateInto(pos, types, 24, list, box, &got); err != nil {
+	if err := e.Compute(pos, types, 24, list, box, &got); err != nil {
 		t.Fatal(err)
 	}
 	if err := NewBaselineEvaluator(m).Compute(pos, types, 24, list, box, &want); err != nil {
@@ -247,7 +247,7 @@ func TestEngineBaselineMatchesLegacy(t *testing.T) {
 }
 
 // Evaluate allocates and returns a fresh Result per call — the
-// convenience form — and must agree with EvaluateInto.
+// convenience form — and must agree with Compute.
 func TestEngineEvaluateAllocates(t *testing.T) {
 	m := newTestModel(t, 1)
 	pos, types, list, box := testSystem(t, 9, 16, &m.Cfg)
@@ -320,7 +320,7 @@ func TestEngineSnapshotAndPrewarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref Result
-	if err := e.EvaluateInto(pos, types, n, list, box, &ref); err != nil {
+	if err := e.Compute(pos, types, n, list, box, &ref); err != nil {
 		t.Fatal(err)
 	}
 
@@ -352,7 +352,7 @@ func TestEngineSnapshotAndPrewarm(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			gerrs[g] = e.EvaluateInto(pos, types, n, list, box, &outs[g])
+			gerrs[g] = e.Compute(pos, types, n, list, box, &outs[g])
 		}(g)
 	}
 	wg.Wait()
@@ -376,7 +376,7 @@ func TestEngineConcurrencyBoundOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref Result
-	if err := e.EvaluateInto(pos, types, 16, list, box, &ref); err != nil {
+	if err := e.Compute(pos, types, 16, list, box, &ref); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -386,7 +386,7 @@ func TestEngineConcurrencyBoundOne(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var out Result
-			if err := e.EvaluateInto(pos, types, 16, list, box, &out); err != nil {
+			if err := e.Compute(pos, types, 16, list, box, &out); err != nil {
 				errCh <- err
 				return
 			}

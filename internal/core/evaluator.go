@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"deepmd-go/internal/compress"
@@ -38,6 +35,10 @@ type Result struct {
 // SetCompressedEmbedding replaces the embedding networks with tabulated
 // piecewise quintics (internal/compress), the third execution strategy.
 //
+// There is one per-call pipeline, ComputeBatch: environment, precision
+// conversion and chunking per frame, one chunk sweep over every frame's
+// chunks, then per-frame reductions. Compute is its one-frame case.
+//
 // Concurrency contract: a raw Evaluator is SINGLE-GOROUTINE. It owns
 // persistent arenas, traces and result staging buffers (the zero-alloc
 // steady state depends on them), so two goroutines calling Compute on the
@@ -57,16 +58,9 @@ type Evaluator[T tensor.Float] struct {
 	// allowed.
 	Counter *perf.Counter
 
-	sc      descriptor.Scratch
 	grads   *ModelGrads
 	arenas  []*tensor.Arena[T]
 	scratch []*evalScratch[T]
-	rT      []T
-	ndT     []T
-	nd64    []float64
-	byType  [][]int
-	jobs    []chunkJob
-	chunkE  []float64
 	// strat is the resolved descriptor execution strategy (never Auto or
 	// Baseline here; the BaselineEvaluator is a separate type).
 	strat Strategy
@@ -76,14 +70,17 @@ type Evaluator[T tensor.Float] struct {
 
 	// gemmWorkers is the row-block goroutine count handed to the blocked
 	// GEMM kernels when the chunk loop runs serially (defaults to
-	// cfg.Workers; see Compute).
+	// cfg.Workers; see ComputeBatch).
 	gemmWorkers int
 
-	// frames and batchJobs are the persistent state of ComputeBatch: one
-	// buffer slot per frame of the largest batch served so far, plus the
-	// flattened (frame, chunk) job list of the cross-frame sweep.
+	// frames and batchJobs are the persistent per-call state: one buffer
+	// slot per frame of the largest batch served so far, plus the
+	// flattened (frame, chunk) job list of the cross-frame sweep. one is
+	// the frame Compute hands to ComputeBatch, so a single-frame call
+	// builds no slice; slot 0 serves single and batched calls alike.
 	frames    []*frameState[T]
 	batchJobs []batchJob
+	one       [1]Frame
 }
 
 // chunkJob is one same-type atom chunk of an evaluation.
@@ -135,7 +132,6 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 		master: m,
 		embed:  make([][]*nn.Net[T], nt),
 		fit:    make([]*nn.Net[T], nt),
-		byType: make([][]int, nt),
 	}
 	for ci := 0; ci < nt; ci++ {
 		ev.embed[ci] = make([]*nn.Net[T], nt)
@@ -192,107 +188,20 @@ func (ev *Evaluator[T]) ArenaBytes() int {
 	return total
 }
 
-// Compute evaluates energy, forces and virial. pos holds 3*nall positions
-// (locals first, then ghosts), types their types, nloc the number of local
-// atoms owned by this rank, list the raw neighbor list built at the last
-// rebuild, and box the periodic box (nil in domain-decomposed mode where
-// ghosts carry the periodic images). The result buffers are reused if
-// adequately sized; after the first call has warmed the arenas and
-// scratch, a steady-state serial Compute performs no heap allocation.
+// Compute evaluates energy, forces and virial: the one-frame case of
+// ComputeBatch. pos holds 3*nall positions (locals first, then ghosts),
+// types their types, nloc the number of local atoms owned by this rank,
+// list the raw neighbor list built at the last rebuild, and box the
+// periodic box (nil in domain-decomposed mode where ghosts carry the
+// periodic images). The result buffers are reused if adequately sized;
+// after the first call has warmed the arenas and scratch, a steady-state
+// serial Compute performs no heap allocation.
 func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
-	ctr := ev.Counter
-	nall := len(pos) / 3
-	env, err := ev.sc.Environment(ctr, ev.dcfg, pos, types, list, box)
-	if err != nil {
-		return err
-	}
-	stride := ev.cfg.Stride()
-
-	ev.rT = descriptor.ConvertR(ctr, env, ev.rT)
-	ev.ndT = tensor.Resize(ev.ndT, nloc*stride*4)
-	clear(ev.ndT)
-
-	// Group local atoms by type.
-	for t := range ev.byType {
-		ev.byType[t] = ev.byType[t][:0]
-	}
-	for i := 0; i < nloc; i++ {
-		t := types[i]
-		if t < 0 || t >= len(ev.byType) {
-			return fmt.Errorf("core: atom %d has type %d outside model", i, t)
-		}
-		ev.byType[t] = append(ev.byType[t], i)
-	}
-
-	out.AtomEnergy = tensor.Resize(out.AtomEnergy, nloc)
-	out.Force = tensor.Resize(out.Force, 3*nall)
-	clear(out.Force)
-
-	// Assemble chunk jobs into the persistent list.
-	ev.jobs = ev.jobs[:0]
-	for ci, atoms := range ev.byType {
-		for lo := 0; lo < len(atoms); lo += ev.cfg.ChunkSize {
-			hi := min(lo+ev.cfg.ChunkSize, len(atoms))
-			ev.jobs = append(ev.jobs, chunkJob{ci, atoms[lo:hi]})
-		}
-	}
-	ev.chunkE = tensor.Resize(ev.chunkE, len(ev.jobs))
-
-	// Parallelism budget: when there are enough chunks, fan the chunk jobs
-	// out over the worker arenas and keep each GEMM serial; when the chunk
-	// loop degenerates to serial (Workers = 1, or a system too small to
-	// fill the pool), hand the worker budget to the blocked GEMM kernels
-	// instead, which partition (batch x row-block) units across goroutines.
-	workers := min(len(ev.arenas), len(ev.jobs))
-	if workers <= 1 {
-		opts := tensor.Opts{Workers: ev.gemmWorkers}
-		for ji, j := range ev.jobs {
-			ev.chunkE[ji] = ev.evalChunk(ctr, opts, ev.scratch[0], ev.arenas[0], env, ev.rT, ev.ndT, j.ci, j.atoms, out.AtomEnergy)
-		}
-	} else {
-		// Fewer chunks than budget: split the remainder as intra-GEMM
-		// workers so e.g. Workers=8 over 2 chunks still uses 8 cores
-		// (2 chunk goroutines x 4 GEMM row-block goroutines each). Chunks
-		// are claimed from an atomic cursor; every chunk's computation is
-		// self-contained and deterministic, so results do not depend on
-		// which worker claims it.
-		opts := tensor.Opts{Workers: ev.gemmWorkers / workers}
-		var wg sync.WaitGroup
-		var cursor atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(ws *evalScratch[T], ar *tensor.Arena[T]) {
-				defer wg.Done()
-				for {
-					ji := int(cursor.Add(1)) - 1
-					if ji >= len(ev.jobs) {
-						return
-					}
-					j := ev.jobs[ji]
-					ev.chunkE[ji] = ev.evalChunk(ctr, opts, ws, ar, env, ev.rT, ev.ndT, j.ci, j.atoms, out.AtomEnergy)
-				}
-			}(ev.scratch[w], ev.arenas[w])
-		}
-		wg.Wait()
-	}
-
-	// Deterministic energy reduction in double precision.
-	out.Energy = 0
-	for _, e := range ev.chunkE[:len(ev.jobs)] {
-		out.Energy += e
-	}
-
-	// Convert the network gradient back to double precision and run the
-	// customized force/virial operators.
-	ev.nd64 = tensor.Resize(ev.nd64, len(ev.ndT))
-	for i, v := range ev.ndT {
-		ev.nd64[i] = float64(v)
-	}
-	descriptor.ProdForce(ctr, ev.nd64, env, out.Force)
-	out.Virial = descriptor.ProdVirial(ctr, ev.nd64, env)
-	repulsionEnergy(ctr, ev.cfg.RepA, ev.cfg.RepRcut, pos, nloc, list, box, out)
-	ev.growArenas()
-	return nil
+	ev.one[0] = Frame{Pos: pos, Types: types, Nloc: nloc, List: list, Box: box, Out: out}
+	err := ev.ComputeBatch(ev.one[:])
+	// Drop the caller's buffers so the evaluator does not retain them.
+	ev.one[0] = Frame{}
+	return err
 }
 
 // evalChunk runs embedding, descriptor, fitting and their backward passes
@@ -300,10 +209,8 @@ func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neig
 // precision and filling atomEnergy and ndT rows for those atoms. opts
 // carries the GEMM worker budget (serial when chunk-level parallelism is
 // already using the cores). rT and ndT are the environment matrix and
-// network-derivative buffers of the frame the chunk belongs to: one
-// Compute call passes the evaluator's own, a ComputeBatch sweep passes
-// each frame's, so chunks of different frames can share one worker sweep
-// without sharing state.
+// network-derivative buffers of the frame the chunk belongs to, so chunks
+// of different frames can share one worker sweep without sharing state.
 //
 //dp:noalloc
 func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {

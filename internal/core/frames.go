@@ -23,12 +23,12 @@ type Frame struct {
 	Out   *Result
 }
 
-// frameState is the persistent per-frame-slot state of ComputeBatch: the
-// buffers Compute keeps once per evaluator, kept once per frame slot so
-// every frame of a batch has its environment, precision-converted rows and
+// frameState is the persistent per-frame-slot state of ComputeBatch:
+// every frame of a call has its environment, precision-converted rows and
 // network derivative alive through the shared chunk sweep. Slots are
-// reused across calls (slot i serves frame i), so a steady stream of
-// equally-shaped batches allocates nothing after warmup.
+// reused across calls (slot i serves frame i, and a one-frame Compute
+// uses slot 0), so a steady stream of equally-shaped calls allocates
+// nothing after warmup.
 type frameState[T tensor.Float] struct {
 	sc     descriptor.Scratch
 	env    *descriptor.EnvOut
@@ -52,33 +52,25 @@ type batchJob struct {
 // ComputeBatch evaluates every frame in one call, fanning the chunks of
 // ALL frames over the evaluator's worker budget as a single sweep — the
 // serving-path entry point that lets concurrent small requests share the
-// strided-batch pipeline (ISSUE 7) instead of each paying its own
-// under-filled sweep.
+// strided-batch pipeline instead of each paying its own under-filled
+// sweep. Compute is the one-frame case.
 //
 // Results are bit-identical to evaluating each frame with its own serial
 // Compute call, at every batch size: chunks never straddle frames (each
-// frame is grouped, chunked and reduced exactly as Compute does it, in its
-// own buffers), every chunk's computation is self-contained and
-// deterministic at any worker count, and each frame's energy reduction and
-// force/virial operators run serially per frame in Compute's order. Only
-// the scheduling of chunks across workers changes — the same invariant
-// the chunk-parallel Compute path already relies on.
+// frame is grouped, chunked and reduced in its own buffers), every
+// chunk's computation is self-contained and deterministic at any worker
+// count, and each frame's energy reduction and force/virial operators run
+// serially per frame in chunk order. Only the scheduling of chunks across
+// workers changes with the batch size.
 //
-// On error, the frames' Result buffers are in an unspecified intermediate
-// state. Like Compute, ComputeBatch is single-goroutine; concurrent
-// batches go through an Engine.
+// Per-frame errors are wrapped as "core: frame %d: ..." (errors.Is sees
+// the wrapped cause). On error, the frames' Result buffers are in an
+// unspecified intermediate state. ComputeBatch is single-goroutine;
+// concurrent batches go through an Engine.
 func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	if len(frames) == 1 {
-		f := &frames[0]
-		if f.Out == nil {
-			return fmt.Errorf("core: batch frame 0 has no Result")
-		}
-		return ev.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, f.Out)
-	}
-
 	ctr := ev.Counter
 	nt := ev.cfg.NumTypes()
 	stride := ev.cfg.Stride()
@@ -86,18 +78,19 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		ev.frames = append(ev.frames, newFrameState[T](nt))
 	}
 
-	// Stage 1 — per-frame preamble, exactly Compute's, into each frame
-	// slot's own buffers: environment, precision conversion, grouping by
-	// type, chunk-job assembly, output sizing.
+	// Stage 1 — per-frame preamble into each frame slot's own buffers:
+	// environment, precision conversion, grouping by type, chunk-job
+	// assembly, output sizing.
+	ev.batchJobs = ev.batchJobs[:0]
 	for fi := range frames {
 		f := &frames[fi]
 		if f.Out == nil {
-			return fmt.Errorf("core: batch frame %d has no Result", fi)
+			return fmt.Errorf("core: frame %d has no Result", fi)
 		}
 		fs := ev.frames[fi]
 		env, err := fs.sc.Environment(ctr, ev.dcfg, f.Pos, f.Types, f.List, f.Box)
 		if err != nil {
-			return fmt.Errorf("core: batch frame %d: %w", fi, err)
+			return fmt.Errorf("core: frame %d: %w", fi, err)
 		}
 		fs.env = env
 		fs.rT = descriptor.ConvertR(ctr, env, fs.rT)
@@ -109,7 +102,7 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		for i := 0; i < f.Nloc; i++ {
 			t := f.Types[i]
 			if t < 0 || t >= nt {
-				return fmt.Errorf("core: batch frame %d: atom %d has type %d outside model", fi, i, t)
+				return fmt.Errorf("core: frame %d: atom %d has type %d outside model", fi, i, t)
 			}
 			fs.byType[t] = append(fs.byType[t], i)
 		}
@@ -125,52 +118,33 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 			}
 		}
 		fs.chunkE = tensor.Resize(fs.chunkE, len(fs.jobs))
+		for ji := range fs.jobs {
+			ev.batchJobs = append(ev.batchJobs, batchJob{fi, ji})
+		}
 	}
 
 	// Stage 2 — one sweep over every frame's chunks. This is where the
 	// cross-request amortization happens: a handful of small frames fill
 	// the worker pool (and one evaluator's caches) the way one large
 	// system would, instead of each frame paying an under-filled sweep.
-	ev.batchJobs = ev.batchJobs[:0]
-	for fi := range frames {
-		for ji := range ev.frames[fi].jobs {
-			ev.batchJobs = append(ev.batchJobs, batchJob{fi, ji})
-		}
-	}
-	run := func(opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], bj batchJob) {
-		fs := ev.frames[bj.fi]
-		j := fs.jobs[bj.ji]
-		fs.chunkE[bj.ji] = ev.evalChunk(ctr, opts, ws, ar, fs.env, fs.rT, fs.ndT, j.ci, j.atoms, frames[bj.fi].Out.AtomEnergy)
-	}
+	// With enough chunks they fan out over the worker arenas and each
+	// GEMM stays serial; when the sweep degenerates to serial (Workers =
+	// 1, or too few chunks to fill the pool) the worker budget goes to
+	// the blocked GEMM kernels instead, which partition (batch x
+	// row-block) units across goroutines.
 	workers := min(len(ev.arenas), len(ev.batchJobs))
 	if workers <= 1 {
 		opts := tensor.Opts{Workers: ev.gemmWorkers}
 		for _, bj := range ev.batchJobs {
-			run(opts, ev.scratch[0], ev.arenas[0], bj)
+			ev.runJob(opts, ev.scratch[0], ev.arenas[0], frames, bj)
 		}
 	} else {
-		opts := tensor.Opts{Workers: ev.gemmWorkers / workers}
-		var wg sync.WaitGroup
-		var cursor atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(ws *evalScratch[T], ar *tensor.Arena[T]) {
-				defer wg.Done()
-				for {
-					bi := int(cursor.Add(1)) - 1
-					if bi >= len(ev.batchJobs) {
-						return
-					}
-					run(opts, ws, ar, ev.batchJobs[bi])
-				}
-			}(ev.scratch[w], ev.arenas[w])
-		}
-		wg.Wait()
+		ev.sweepParallel(workers, frames)
 	}
 
-	// Stage 3 — per-frame reductions and customized operators, serial and
-	// in Compute's order so the double-precision sums associate the same
-	// way they do per-request.
+	// Stage 3 — per-frame reductions and customized operators, serial
+	// and in chunk order so the double-precision sums associate the same
+	// way at every batch size and worker count.
 	for fi := range frames {
 		f := &frames[fi]
 		fs := ev.frames[fi]
@@ -191,6 +165,39 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 	return nil
 }
 
+// runJob evaluates one chunk of one frame on a worker's scratch and arena.
+func (ev *Evaluator[T]) runJob(opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], frames []Frame, bj batchJob) {
+	fs := ev.frames[bj.fi]
+	j := fs.jobs[bj.ji]
+	fs.chunkE[bj.ji] = ev.evalChunk(ev.Counter, opts, ws, ar, fs.env, fs.rT, fs.ndT, j.ci, j.atoms, frames[bj.fi].Out.AtomEnergy)
+}
+
+// sweepParallel runs the batch jobs on workers goroutines, each with its
+// own scratch and arena. The GEMM budget left over is split as intra-GEMM
+// workers, so e.g. Workers=8 over 2 chunks still uses 8 cores (2 chunk
+// goroutines x 4 GEMM row-block goroutines each). Jobs are claimed from
+// an atomic cursor; every chunk's computation is self-contained and
+// deterministic, so results do not depend on which worker claims it.
+func (ev *Evaluator[T]) sweepParallel(workers int, frames []Frame) {
+	opts := tensor.Opts{Workers: ev.gemmWorkers / workers}
+	var wg sync.WaitGroup
+	var cursor atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(ws *evalScratch[T], ar *tensor.Arena[T]) {
+			defer wg.Done()
+			for {
+				bi := int(cursor.Add(1)) - 1
+				if bi >= len(ev.batchJobs) {
+					return
+				}
+				ev.runJob(opts, ws, ar, frames, ev.batchJobs[bi])
+			}
+		}(ev.scratch[w], ev.arenas[w])
+	}
+	wg.Wait()
+}
+
 // frameComputer is implemented by pooled computers that can evaluate a
 // batch of frames in one sweep (the optimized Evaluator in either
 // precision). The BaselineEvaluator predates batching and falls back to a
@@ -203,7 +210,7 @@ type frameComputer interface {
 // evaluator as a single chunk sweep — the engine-level seam the
 // cross-request micro-batcher (internal/serve) coalesces concurrent small
 // requests through. Goroutine-safe like Compute; results are bit-identical
-// to per-frame EvaluateInto calls at every batch size (see
+// to per-frame Compute calls at every batch size (see
 // Evaluator.ComputeBatch). Baseline-strategy engines evaluate the frames
 // sequentially on the borrowed evaluator, which is the same thing by
 // definition.
@@ -222,7 +229,7 @@ func (e *Engine) ComputeBatch(frames []Frame) error {
 	for i := range frames {
 		f := &frames[i]
 		if f.Out == nil {
-			return fmt.Errorf("core: batch frame %d has no Result", i)
+			return fmt.Errorf("core: frame %d has no Result", i)
 		}
 		if err := c.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, f.Out); err != nil {
 			return err

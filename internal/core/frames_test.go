@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,6 +206,97 @@ func TestComputeBatchValidation(t *testing.T) {
 	if err := e.ComputeBatch(frames); err == nil {
 		t.Fatal("frame without Result accepted")
 	}
+
+	// Per-frame errors name the frame, not a batch, so a one-frame
+	// Compute error reads the same; causes stay wrapped for errors.Is.
+	ev := NewEvaluator[float64](m)
+	bad := append([]int(nil), types...)
+	bad[3] = 7
+	err = ev.Compute(pos, bad, 12, list, box, new(Result))
+	if err == nil || !strings.HasPrefix(err.Error(), "core: frame 0: atom 3 has type 7") {
+		t.Fatalf("out-of-model type: got %v", err)
+	}
+	badList := &neighbor.List{Nloc: list.Nloc, Entries: make([][]neighbor.Entry, len(list.Entries))}
+	for i, row := range list.Entries {
+		badList.Entries[i] = append([]neighbor.Entry(nil), row...)
+	}
+	badList.Entries[0][0].Type = 9
+	err = ev.Compute(pos, types, 12, badList, box, new(Result))
+	if err == nil || !strings.HasPrefix(err.Error(), "core: frame 0: ") || errors.Unwrap(err) == nil {
+		t.Fatalf("environment error not wrapped per frame: %v", err)
+	}
+}
+
+// TestComputeBatchZeroAllocSteadyState pins the single-pipeline contract:
+// after warmup a serial ComputeBatch allocates nothing (the chunk sweep
+// used to capture a closure that escaped into the parallel branch, one
+// allocation per call), and neither does ComputeBatch alternating with a
+// one-frame Compute of a different size on the same evaluator — slot 0
+// serves both and is resized back and forth — with results bit-identical
+// to a fresh evaluator's.
+func TestComputeBatchZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime instruments allocations and drops sync.Pool entries; zero-alloc assertion only holds without -race")
+	}
+	cfg := batchTestConfig(true)
+	cfg.ChunkSize = 16
+	cfg.Workers = 1
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator[float64](m)
+
+	var outs [3]Result
+	frames := make([]Frame, len(outs))
+	for i, seed := range []int64{7, 11, 13} {
+		p, ty, l, b := latticeVariant(t, true, &cfg, 4, seed)
+		frames[i] = Frame{Pos: p, Types: ty, Nloc: len(ty), List: l, Box: b, Out: &outs[i]}
+	}
+	sp, sty, sl, sb := latticeVariant(t, true, &cfg, 5, 17)
+	if len(sty) == frames[0].Nloc {
+		t.Fatal("single frame must differ in size from batch frame 0")
+	}
+	var single Result
+
+	batch := func() {
+		if err := ev.ComputeBatch(frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := func() {
+		if err := ev.Compute(sp, sty, len(sty), sl, sb, &single); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		batch()
+	}
+	if allocs := testing.AllocsPerRun(10, batch); allocs != 0 {
+		t.Fatalf("steady-state serial ComputeBatch allocated %.1f times per call, want 0", allocs)
+	}
+
+	for i := 0; i < 2; i++ {
+		batch()
+		one()
+	}
+	if allocs := testing.AllocsPerRun(10, func() { batch(); one() }); allocs != 0 {
+		t.Fatalf("ComputeBatch alternating with Compute allocated %.1f times per round, want 0", allocs)
+	}
+
+	for i := range frames {
+		f := &frames[i]
+		var want Result
+		if err := NewEvaluator[float64](m).Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, &want); err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("batch frame %d", i), f.Out, &want)
+	}
+	var want Result
+	if err := NewEvaluator[float64](m).Compute(sp, sty, len(sty), sl, sb, &want); err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "single frame", &single, &want)
 }
 
 // TestPrewarmInterleavesTraffic pins the ISSUE 7 Prewarm bugfix: the
@@ -234,7 +326,7 @@ func TestPrewarmInterleavesTraffic(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			var out Result
-			done <- e.EvaluateInto(pos, types, n, list, box, &out)
+			done <- e.Compute(pos, types, n, list, box, &out)
 		}()
 		select {
 		case err := <-done:
@@ -349,7 +441,7 @@ func TestEnginePoolChurn(t *testing.T) {
 			defer wg.Done()
 			var out Result
 			for k := 0; k < evals; k++ {
-				err := e.EvaluateInto(pos, types, 16, list, box, &out)
+				err := e.Compute(pos, types, 16, list, box, &out)
 				switch {
 				case err == nil:
 					successes.Add(1)
@@ -384,7 +476,7 @@ func TestEnginePoolChurn(t *testing.T) {
 			defer wg2.Done()
 			var out Result
 			for k := 0; k < evals; k++ {
-				if err := e.EvaluateInto(pos, types, 16, list, box, &out); err != nil {
+				if err := e.Compute(pos, types, 16, list, box, &out); err != nil {
 					errs[g] = err
 					return
 				}

@@ -110,9 +110,6 @@ type Plan struct {
 	// falling back to intra-GEMM row blocks; core.Config.Workers). Zero
 	// defaults to the model's configured Workers.
 	Workers int
-	// GemmWorkers is the goroutine count inside each blocked GEMM call
-	// when the chunk loop is serial. Zero defaults to Workers.
-	GemmWorkers int
 	// MaxConcurrency bounds how many independent evaluations the Engine
 	// serves at once — the size of its evaluator pool. Zero defaults to
 	// GOMAXPROCS.
@@ -175,11 +172,8 @@ func ResolvePlan(m *Model, req Plan) (Plan, error) {
 	if p.Workers <= 0 {
 		p.Workers = max(1, m.Cfg.Workers)
 	}
-	if p.GemmWorkers <= 0 {
-		p.GemmWorkers = p.Workers
-	}
 	// The baseline strategy predates every parallel evaluation path and
-	// ignores both budgets inside Compute, but Workers stays resolved:
+	// ignores the budget inside Compute, but Workers stays resolved:
 	// it still drives neighbor-list builds through the engine's worker
 	// hint, an orthogonal cost that was parallel before the Engine API
 	// and must stay so under baseline-vs-optimized comparisons.

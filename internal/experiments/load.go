@@ -104,7 +104,7 @@ func Load(sc Scale, conc int, url string) (*LoadResult, error) {
 			return nil, err
 		}
 		variants[i] = variant{pos: p, types: t, lb: listAndBox{l, b}}
-		if err := engine.EvaluateInto(p, t, len(t), l, b, &variants[i].ref); err != nil {
+		if err := engine.Compute(p, t, len(t), l, b, &variants[i].ref); err != nil {
 			return nil, err
 		}
 	}
@@ -212,7 +212,7 @@ func Load(sc Scale, conc int, url string) (*LoadResult, error) {
 		// exactly the PR 5 serving configuration.
 		pool, err := cell("pool", c, func(g int, v *variant, ref *core.Result) error {
 			out := &outs[g]
-			if err := engine.EvaluateInto(v.pos, v.types, n, v.lb.l, v.lb.b, out); err != nil {
+			if err := engine.Compute(v.pos, v.types, n, v.lb.l, v.lb.b, out); err != nil {
 				return err
 			}
 			return verifyBits("pool", out, ref)

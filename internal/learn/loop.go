@@ -179,14 +179,13 @@ func (l *Loop) trainReplicas(round, steps int) error {
 			view = l.bootstrap(l.cfg.Seed + seedBootstrap*(int64(r)+1))
 		}
 		tr, err := train.NewTrainer(m, train.Config{
-			LR:              l.cfg.LR,
-			BatchSize:       l.cfg.BatchSize,
-			DecayRate:       l.cfg.DecayRate,
-			DecaySteps:      l.cfg.DecaySteps,
-			Seed:            int64(round)*roundStride + l.cfg.Seed + seedShuffle*(int64(r)+1),
-			StartStep:       l.steps[r],
-			NeighborWorkers: l.cfg.Plan.Workers,
-			GemmWorkers:     l.cfg.Plan.GemmWorkers,
+			LR:         l.cfg.LR,
+			BatchSize:  l.cfg.BatchSize,
+			DecayRate:  l.cfg.DecayRate,
+			DecaySteps: l.cfg.DecaySteps,
+			Seed:       int64(round)*roundStride + l.cfg.Seed + seedShuffle*(int64(r)+1),
+			StartStep:  l.steps[r],
+			Workers:    l.cfg.Plan.Workers,
 		})
 		if err != nil {
 			return err

@@ -16,7 +16,6 @@ import (
 
 	"deepmd-go/internal/core"
 	"deepmd-go/internal/neighbor"
-	"deepmd-go/internal/perf"
 	"deepmd-go/internal/units"
 )
 
@@ -182,8 +181,6 @@ type Sim struct {
 	Pot Potential
 	Opt Options
 
-	// Timer separates setup from the MD loop as in Sec. 6.3.
-	Timer *perf.Timer
 	// Thermo log, one entry per sample.
 	Log []Thermo
 	// Traj holds the captured trajectory, one Snapshot every
@@ -219,7 +216,6 @@ func NewSim(sys *System, pot Potential, opt Options) (*Sim, error) {
 		Sys:     sys,
 		Pot:     pot,
 		Opt:     opt,
-		Timer:   perf.NewTimer(),
 		tracker: neighbor.NewTracker(opt.Spec.Skin),
 	}, nil
 }
@@ -302,10 +298,8 @@ func (s *Sim) Step() error {
 	return nil
 }
 
-// Run advances nsteps steps, timing the MD loop.
+// Run advances nsteps steps.
 func (s *Sim) Run(nsteps int) error {
-	s.Timer.Start("md_loop")
-	defer s.Timer.Stop("md_loop")
 	for i := 0; i < nsteps; i++ {
 		if err := s.Step(); err != nil {
 			return fmt.Errorf("md: step %d: %w", s.step, err)

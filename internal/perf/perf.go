@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -156,56 +155,4 @@ func (c *Counter) Reset() {
 	for i := range c.catTime {
 		c.catTime[i].Store(0)
 	}
-}
-
-// Timer measures named phases of a run (setup, MD loop, IO) the way the
-// paper separates "setup time" from "MD loop time" (Sec. 6.3 and 7.3).
-type Timer struct {
-	mu     sync.Mutex
-	phases map[string]time.Duration
-	starts map[string]time.Time
-}
-
-// NewTimer returns an empty Timer.
-func NewTimer() *Timer {
-	return &Timer{
-		phases: make(map[string]time.Duration),
-		starts: make(map[string]time.Time),
-	}
-}
-
-// Start begins (or resumes) the named phase.
-func (t *Timer) Start(phase string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.starts[phase] = time.Now()
-}
-
-// Stop ends the named phase and accumulates its elapsed time. Stopping a
-// phase that was never started is a no-op.
-func (t *Timer) Stop(phase string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.starts[phase]; ok {
-		t.phases[phase] += time.Since(s)
-		delete(t.starts, phase)
-	}
-}
-
-// Elapsed returns the accumulated time for the named phase.
-func (t *Timer) Elapsed(phase string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.phases[phase]
-}
-
-// Phases returns a copy of all accumulated phase times.
-func (t *Timer) Phases() map[string]time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]time.Duration, len(t.phases))
-	for k, v := range t.phases {
-		out[k] = v
-	}
-	return out
 }

@@ -106,30 +106,3 @@ func TestCategoryNames(t *testing.T) {
 		}
 	}
 }
-
-func TestTimerPhases(t *testing.T) {
-	tm := NewTimer()
-	tm.Start("setup")
-	time.Sleep(2 * time.Millisecond)
-	tm.Stop("setup")
-	if tm.Elapsed("setup") < time.Millisecond {
-		t.Fatalf("setup elapsed %v", tm.Elapsed("setup"))
-	}
-	// Accumulation over restarts.
-	before := tm.Elapsed("setup")
-	tm.Start("setup")
-	time.Sleep(time.Millisecond)
-	tm.Stop("setup")
-	if tm.Elapsed("setup") <= before {
-		t.Fatal("phase did not accumulate")
-	}
-	// Stopping an unstarted phase is a no-op.
-	tm.Stop("never-started")
-	if tm.Elapsed("never-started") != 0 {
-		t.Fatal("ghost phase recorded time")
-	}
-	phases := tm.Phases()
-	if _, ok := phases["setup"]; !ok {
-		t.Fatal("Phases() missing setup")
-	}
-}

@@ -225,18 +225,15 @@ type Config struct {
 	// gradients and Adam's bias correction restarts at t = 0. Only the LR
 	// schedule resumes.
 	StartStep int
-	// NeighborWorkers is the goroutine count for neighbor-list builds of
-	// uncached frames; the evaluator itself must stay serial (parameter
-	// gradients require Workers = 1) but list construction need not.
-	NeighborWorkers int
-	// GemmWorkers is the goroutine count inside each blocked GEMM call of
-	// the training evaluator (row-block parallelism). Chunk-level
-	// parallelism is unavailable during training — parameter gradients
-	// require a serial evaluator — but intra-GEMM parallelism is safe:
-	// every output element is written by exactly one goroutine and results
-	// are bit-identical across worker counts, so the dominant matrix math
-	// still spreads over cores. <= 1 runs serial.
-	GemmWorkers int
+	// Workers is the goroutine count for neighbor-list builds of uncached
+	// frames and inside each blocked GEMM call of the training evaluator
+	// (row-block parallelism). Chunk-level parallelism is unavailable
+	// during training — parameter gradients require a serial evaluator —
+	// but neither list construction nor intra-GEMM parallelism need be
+	// serial: every GEMM output element is written by exactly one
+	// goroutine and results are bit-identical across worker counts, so the
+	// dominant matrix math still spreads over cores. <= 1 runs serial.
+	Workers int
 }
 
 // Trainer minimizes the per-atom energy loss over a dataset. A Trainer
@@ -274,17 +271,14 @@ func NewTrainer(model *core.Model, cfg Config) (*Trainer, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 4
 	}
-	if cfg.NeighborWorkers <= 0 {
-		cfg.NeighborWorkers = 1
-	}
-	if cfg.GemmWorkers <= 0 {
-		cfg.GemmWorkers = 1
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
 	}
 	if cfg.StartStep < 0 {
 		cfg.StartStep = 0
 	}
 	ev := core.NewEvaluator[float64](model)
-	ev.SetGemmWorkers(cfg.GemmWorkers)
+	ev.SetGemmWorkers(cfg.Workers)
 	return &Trainer{
 		step:    cfg.StartStep,
 		Model:   model,
@@ -319,7 +313,7 @@ func (t *Trainer) Step(frames []Frame) (float64, error) {
 	b := t.Cfg.BatchSize
 	for k := 0; k < b; k++ {
 		f := &frames[t.rng.Intn(len(frames))]
-		list, err := f.List(t.spec, t.Cfg.NeighborWorkers)
+		list, err := f.List(t.spec, t.Cfg.Workers)
 		if err != nil {
 			return 0, err
 		}
