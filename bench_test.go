@@ -166,7 +166,7 @@ func BenchmarkFusion_StandardOps(b *testing.B) {
 	})
 	b.Run("MATMUL+SUM/fusedGEMM", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.GemmBias(nil, x, w, bias, dst)
+			tensor.GemmBiasOpt(tensor.Opts{}, nil, x, w, bias, dst)
 		}
 	})
 	y := tensor.NewMatrix[float64](rows, 2*in)
@@ -503,7 +503,7 @@ func BenchmarkGEMM(b *testing.B) {
 			c := tensor.NewMatrix[float64](m, n)
 			b.SetBytes(int64(8 * (m*k + k*n + m*n)))
 			for i := 0; i < b.N; i++ {
-				tensor.Gemm(nil, 1, x, w, 0, c)
+				tensor.GemmOpt(tensor.Opts{}, nil, 1, x, w, 0, c)
 			}
 			flops := 2 * float64(m) * float64(k) * float64(n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")

@@ -4,7 +4,6 @@ package compress
 
 import "deepmd-go/internal/tensor"
 
-// No vectorized Horner kernels in this build (the arm64 GEMM tiles exist,
-// but the table lookup has no NEON port yet): every channel goes through
-// the scalar recursion in evalSeg.
+// No vectorized Horner kernels in this build (purego, or a GOARCH other
+// than amd64): every channel goes through the scalar recursion in evalSeg.
 func hornerCover[T tensor.Float](cs []T, u, invH T, g, dg []T, m int) int { return 0 }

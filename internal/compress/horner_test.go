@@ -14,7 +14,7 @@ import (
 // execute, so the differential sweep covers all compiled code paths.
 func hornerFamilies() []cpufeat.Family {
 	fams := []cpufeat.Family{cpufeat.Generic}
-	for _, f := range []cpufeat.Family{cpufeat.AVX2, cpufeat.AVX512, cpufeat.NEON} {
+	for _, f := range []cpufeat.Family{cpufeat.AVX2, cpufeat.AVX512} {
 		if cpufeat.Available(f) {
 			fams = append(fams, f)
 		}

@@ -77,7 +77,7 @@ func Fusion(sc Scale, reps int) *FusionResult {
 		// MATMUL + SUM vs fused GEMM-with-bias.
 		{"MATMUL+SUM -> GEMM", fmt.Sprintf("%dx%dx%d", rows, in, out),
 			func() { tensor.BiasAdd(nil, tensor.MatMul(nil, x, w), bias) },
-			func() { tensor.GemmBias(nil, x, w, bias, dst) }},
+			func() { tensor.GemmBiasOpt(tensor.Opts{}, nil, x, w, bias, dst) }},
 		// CONCAT + SUM vs in-place skip add.
 		{"CONCAT+SUM -> skip add", fmt.Sprintf("%dx%d", rows, 2*in),
 			func() { tensor.Add(nil, tensor.ConcatCols(nil, x), y) },

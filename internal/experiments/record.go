@@ -24,7 +24,7 @@ type Record struct {
 	P95Ns float64 `json:"p95_ns,omitempty"`
 	P99Ns float64 `json:"p99_ns,omitempty"`
 	// Kernel attributes the measurement to the SIMD kernel family that
-	// executed it ("avx512", "avx2", "neon", "generic", "naive"); empty
+	// executed it ("avx512", "avx2", "generic", "naive"); empty
 	// for experiments that don't dispatch through the kernel tables.
 	Kernel string `json:"kernel,omitempty"`
 	// Messages, LogicalBytes and WireBytes are the communication volume of

@@ -32,7 +32,7 @@ var DispatchAnalyzer = &Analyzer{
 const cpufeatPath = "internal/tensor/cpufeat"
 
 // familyNames indexes the cpufeat.Family constants by value.
-var familyNames = []string{"Generic", "AVX2", "AVX512", "NEON"}
+var familyNames = []string{"Generic", "AVX2", "AVX512"}
 
 func isCpufeat(pkg *types.Package) bool {
 	return pkg != nil && (pkg.Path() == cpufeatPath || strings.HasSuffix(pkg.Path(), "/"+cpufeatPath))

@@ -4,9 +4,9 @@ package use
 
 import "dispatchfix/internal/tensor/cpufeat"
 
-// Incomplete covers two of four families with no default.
+// Incomplete covers two of three families with no default.
 func Incomplete(f cpufeat.Family) int {
-	switch f { // want `switch over cpufeat.Family has no default and no case for AVX512, NEON`
+	switch f { // want `switch over cpufeat.Family has no default and no case for AVX512`
 	case cpufeat.Generic:
 		return 0
 	case cpufeat.AVX2:
@@ -18,7 +18,7 @@ func Incomplete(f cpufeat.Family) int {
 // Complete names every family.
 func Complete(f cpufeat.Family) int {
 	switch f {
-	case cpufeat.Generic, cpufeat.AVX2, cpufeat.AVX512, cpufeat.NEON:
+	case cpufeat.Generic, cpufeat.AVX2, cpufeat.AVX512:
 		return 1
 	}
 	return 0

@@ -13,7 +13,7 @@ import (
 
 // nveDPConfig is the shared model of the Deep Potential NVE regressions:
 // water-like, sized so the per-chunk embedding and fitting GEMMs cross
-// the blocked kernel's size cutoff (tensor.blockedWorthIt) — TinyConfig's
+// the blocked tier's size rule (tensor.pickTier) — TinyConfig's
 // defaults would route every layer to the naive reference and leave the
 // blocked kernels untested here.
 func nveDPConfig() core.Config {

@@ -47,22 +47,18 @@ const (
 type TCPConfig struct {
 	// Rank and Size identify this process in the world.
 	Rank, Size int
-	// Coordinator is the rendezvous service address. With HostCoordinator
-	// set, rank 0 serves it (start rank 0 first, or rely on the dial
-	// retries); otherwise an external ServeRendezvous must be reachable
-	// there (the launcher does this). Ignored when Hosts is set.
+	// Coordinator is the rendezvous service address: a ServeRendezvous
+	// must be reachable there (the launcher runs it). Ignored when Hosts
+	// is set.
 	Coordinator string
-	// HostCoordinator makes rank 0 serve the rendezvous itself.
-	HostCoordinator bool
 	// Hosts is the static rendezvous alternative: the full host:port
 	// peer-listener table, indexed by rank. Rank i binds the port of
 	// Hosts[i]. No coordinator is contacted.
 	Hosts []string
-	// Listen is the peer-listener bind address (default ":0").
+	// Listen is the peer-listener bind address (default ":0"). Other
+	// ranks dial this rank at its host as seen by the coordinator and the
+	// actual listen port.
 	Listen string
-	// Advertise overrides the address other ranks dial for this rank
-	// (default: host as seen by the coordinator + actual listen port).
-	Advertise string
 	// DialTimeout bounds rendezvous and mesh establishment (default 10s).
 	DialTimeout time.Duration
 }
@@ -160,16 +156,6 @@ func DialTCP(cfg TCPConfig) (*TCPWorld, error) {
 	table := cfg.Hosts
 	if table == nil {
 		port := ln.Addr().(*net.TCPAddr).Port
-		if cfg.HostCoordinator && cfg.Rank == 0 {
-			cln, err := net.Listen("tcp", cfg.Coordinator)
-			if err != nil {
-				return nil, fmt.Errorf("mpi: coordinator listener: %w", err)
-			}
-			go func() {
-				defer cln.Close()
-				ServeRendezvous(cln, cfg.Size)
-			}()
-		}
 		table, err = rendezvous(cfg, port, deadline)
 		if err != nil {
 			return nil, err
@@ -659,8 +645,7 @@ func readFrame(conn net.Conn) (kind byte, tag int, payload []byte, err error) {
 
 // ServeRendezvous accepts size registrations on ln, then sends every
 // registrant the full rank -> address table and closes. The launcher runs
-// this next to the processes it spawns; a manually started world sets
-// TCPConfig.HostCoordinator so rank 0 serves it instead.
+// this next to the processes it spawns.
 func ServeRendezvous(ln net.Listener, size int) error {
 	conns := make([]net.Conn, size)
 	addrs := make([]string, size)
@@ -687,8 +672,8 @@ func ServeRendezvous(ln net.Listener, size int) error {
 		}
 		addr := string(payload)
 		if strings.HasPrefix(addr, ":") {
-			// No explicit advertise address: derive the host from where
-			// the registration came from.
+			// A bare :port registration (what every rank sends): derive
+			// the host from where the registration came from.
 			host, _, err := net.SplitHostPort(conn.RemoteAddr().String())
 			if err != nil {
 				conn.Close()
@@ -713,10 +698,7 @@ func ServeRendezvous(ln net.Listener, size int) error {
 
 // rendezvous registers with the coordinator and returns the address table.
 func rendezvous(cfg TCPConfig, listenPort int, deadline time.Time) ([]string, error) {
-	adv := cfg.Advertise
-	if adv == "" {
-		adv = fmt.Sprintf(":%d", listenPort)
-	}
+	adv := fmt.Sprintf(":%d", listenPort)
 	conn, err := dialRetry(cfg.Coordinator, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: rendezvous with %s: %w", cfg.Coordinator, err)

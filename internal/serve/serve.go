@@ -312,8 +312,10 @@ func (b *Batcher) dispatch() {
 			}
 		}
 		for _, r := range live {
-			r.done <- err
+			// Count before answering: a caller that returns must find
+			// its request in Stats.
 			b.completed.Add(1)
+			r.done <- err
 		}
 	}
 }

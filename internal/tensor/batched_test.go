@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"deepmd-go/internal/tensor/cpufeat"
 )
 
 // Differential tests for the strided-batched GEMM family, under the same
@@ -213,32 +215,86 @@ func testGemmBatchDifferential[T Float](t *testing.T) {
 func TestGemmBatchDifferentialFloat64(t *testing.T) { testGemmBatchDifferential[float64](t) }
 func TestGemmBatchDifferentialFloat32(t *testing.T) { testGemmBatchDifferential[float32](t) }
 
-// The batched engine must agree with per-item single-GEMM calls on the
-// blocked path too: batching changes scheduling and pack reuse, never the
-// per-item tiling or accumulation order.
+// The batched engine must agree with per-item single-GEMM calls bit for
+// bit: batching changes scheduling and B-panel reuse, never the per-item
+// tiling or K-panel order. The first case is one K panel whose batch-1
+// calls run on the SIMD strips under the SIMD families and on the packed
+// engine under Generic, so it pins strips and packed engine against each
+// other wherever the host has them. The sweep cases span several row
+// blocks (rows > mcBlock, three blocks so some worker ranges start
+// mid-item) and several K panels (depth > kcBlock), in every layout and
+// at every worker count; their single calls are compared only where
+// pickTier routes them to the packed engine too: the NT dot tile takes
+// batch-1 NT items on SIMD families, so NT is pinned under Generic, which
+// every host runs.
 func TestGemmBatchMatchesSingleBlocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	const batch, m, k, n = 6, 130, 70, 36
-	a := make([]float64, batch*m*k)
-	b := make([]float64, batch*k*n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
+	cases := []struct {
+		l                     layout
+		batch, rows, depth, n int
+		seed                  int64
+		anyTier               bool // compare whatever tier the single calls take
+	}{
+		{l: layoutN, batch: 6, rows: 130, depth: 70, n: 36, seed: 77, anyTier: true},
+		{l: layoutN, batch: 5, rows: 2*mcBlock + 5, depth: kcBlock + 44, n: 36, seed: 77},
+		{l: layoutNT, batch: 5, rows: 2*mcBlock + 5, depth: kcBlock + 44, n: 36, seed: 78},
+		{l: layoutTN, batch: 5, rows: 2*mcBlock + 5, depth: kcBlock + 44, n: 36, seed: 79},
 	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	single := make([]float64, batch*m*n)
-	for g := 0; g < batch; g++ {
-		GemmOpt(Opts{}, nil, 1,
-			MatrixFrom(m, k, a[g*m*k:(g+1)*m*k]),
-			MatrixFrom(k, n, b[g*k*n:(g+1)*k*n]),
-			0, MatrixFrom(m, n, single[g*m*n:(g+1)*m*n]))
-	}
-	for _, w := range diffWorkers {
-		batched := make([]float64, batch*m*n)
-		GemmBatchOpt(Opts{Workers: w}, nil, batch, m, k, n, 1, a, m*k, b, k*n, 0, batched, m*n)
-		checkBitIdentical(t, fmt.Sprintf("batch-vs-single workers=%d", w), batched, single)
-	}
+	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
+		for _, tc := range cases {
+			l, batch, rows, n := tc.l, tc.batch, tc.rows, tc.n
+			label := fmt.Sprintf("%s %s %dx%dx%dx%d", fam, batchVariantNames[l], batch, rows, tc.depth, n)
+			m, k := rows, tc.depth
+			sizeB := k * n
+			switch l {
+			case layoutNT:
+				sizeB = n * k
+			case layoutTN:
+				m, k, sizeB = tc.depth, rows, tc.depth*n
+			}
+			if got, _ := pickTier[float64](Opts{}, l, batch, m, k, n, 1); got != tierBlocked {
+				t.Fatalf("%s: batched call runs on the %s tier, want blocked", label, tierNames[got])
+			}
+			if got, _ := pickTier[float64](Opts{}, l, 1, m, k, n, 1); got != tierBlocked && !tc.anyTier {
+				t.Logf("%s: batch-1 call runs on the %s tier; not comparable", label, tierNames[got])
+				continue
+			}
+			rng := rand.New(rand.NewSource(tc.seed))
+			sizeA, sizeC := m*k, rows*n
+			a := make([]float64, batch*sizeA)
+			b := make([]float64, batch*sizeB)
+			for i := range a {
+				a[i] = rng.NormFloat64()
+			}
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			single := make([]float64, batch*sizeC)
+			for g := 0; g < batch; g++ {
+				ag, bg, cg := a[g*sizeA:(g+1)*sizeA], b[g*sizeB:(g+1)*sizeB], single[g*sizeC:(g+1)*sizeC]
+				switch l {
+				case layoutN:
+					GemmOpt(Opts{}, nil, 1, MatrixFrom(m, k, ag), MatrixFrom(k, n, bg), 0, MatrixFrom(m, n, cg))
+				case layoutNT:
+					GemmNTOpt(Opts{}, nil, 1, MatrixFrom(m, k, ag), MatrixFrom(n, k, bg), 0, MatrixFrom(m, n, cg))
+				case layoutTN:
+					GemmTNOpt(Opts{}, nil, 1, MatrixFrom(m, k, ag), MatrixFrom(m, n, bg), 0, MatrixFrom(k, n, cg))
+				}
+			}
+			for _, w := range diffWorkers {
+				batched := make([]float64, batch*sizeC)
+				o := Opts{Workers: w}
+				switch l {
+				case layoutN:
+					GemmBatchOpt(o, nil, batch, m, k, n, 1, a, sizeA, b, sizeB, 0, batched, sizeC)
+				case layoutNT:
+					GemmBatchNTOpt(o, nil, batch, m, k, n, 1, a, sizeA, b, sizeB, 0, batched, sizeC)
+				case layoutTN:
+					GemmBatchTNOpt(o, nil, batch, m, k, n, 1, a, sizeA, b, sizeB, 0, batched, sizeC)
+				}
+				checkBitIdentical(t, fmt.Sprintf("%s batch-vs-single workers=%d", label, w), batched, single)
+			}
+		}
+	})
 }
 
 // Invalid layouts must be rejected loudly: an overlapping output stride
@@ -257,12 +313,12 @@ func TestGemmBatchRejectsOverlapAndShortSlices(t *testing.T) {
 	b := make([]float64, 100)
 	c := make([]float64, 100)
 	expectPanic("overlapping C", func() {
-		GemmBatch(nil, 2, 4, 2, 4, 1, a, 8, b, 8, 0, c, 8) // item 16 > stride 8
+		GemmBatchOpt(Opts{}, nil, 2, 4, 2, 4, 1, a, 8, b, 8, 0, c, 8) // item 16 > stride 8
 	})
 	expectPanic("short A", func() {
-		GemmBatch(nil, 4, 8, 8, 1, 1, a, 64, b, 8, 0, c, 8)
+		GemmBatchOpt(Opts{}, nil, 4, 8, 8, 1, 1, a, 64, b, 8, 0, c, 8)
 	})
 	expectPanic("negative stride", func() {
-		GemmBatch(nil, 2, 2, 2, 2, 1, a, -4, b, 4, 0, c, 4)
+		GemmBatchOpt(Opts{}, nil, 2, 2, 2, 2, 1, a, -4, b, 4, 0, c, 4)
 	})
 }

@@ -2,13 +2,11 @@ package tensor
 
 import "sync"
 
-// This file holds the cache-blocked, register-tiled GEMM engine behind the
-// default (Blocked) kernel family. The paper folds the whole
-// embedding/fitting network into a handful of large GEMMs and reports GEMM
-// as the dominant per-step cost (Sec. 5.3.1, Fig. 3); on a CPU the same
-// dominance makes the matrix kernels the single largest speed lever, so
-// the naive i-k-j loops of gemm.go survive only as the differential-test
-// reference (Kernel = Naive) and everything else routes through here.
+// This file holds the cache-blocked, register-tiled GEMM engine, the
+// packed tier of pickTier. The paper folds the whole embedding/fitting
+// network into a handful of large GEMMs and reports GEMM as the dominant
+// per-step cost (Sec. 5.3.1, Fig. 3); on a CPU the same dominance makes
+// the matrix kernels the single largest speed lever.
 //
 // The scheme is the classic three-level blocking of high-performance BLAS:
 //
@@ -21,11 +19,11 @@ import "sync"
 //     8 independent accumulator chains per 6 loads, versus the 1-2 of the
 //     naive axpy/dot loops.
 //
-// Row blocks are partitioned across a goroutine pool ("Workers", threaded
-// from core.Config.Workers through the evaluator and trainer), each worker
-// packing its own A blocks while sharing the packed B panel. Every C
-// element is produced by exactly one worker with the same panel and
-// accumulation order as the serial blocked kernel, so results are
+// One driver serves single and batched calls: the call is flattened into
+// (item, C row block) work units and contiguous unit ranges go to a
+// goroutine pool ("Workers", threaded from core.Config.Workers through the
+// evaluator and trainer). Every C element is produced by exactly one unit
+// with the same K-panel order at every worker count, so results are
 // bit-identical for every worker count (asserted by the differential
 // tests). Pack buffers are recycled through sync.Pools so the steady-state
 // MD loop stays allocation-free (the arena story of Sec. 5.2.2).
@@ -43,22 +41,15 @@ const (
 	mr = 2
 	nr = 4
 	// mcBlock x kcBlock is the packed A block (per worker, ~256 KB f64);
-	// kcBlock x ncBlock is the packed B panel. kcBlock exceeds the paper's
-	// largest layer width (240), so the K loop is a single panel for every
-	// network shape in the repo.
+	// kcBlock x ncBlock is the packed B panel. kcBlock covers every
+	// embedding and hidden fitting layer (K <= 240) in one panel, but not
+	// the first fitting layer, whose K is the descriptor dimension
+	// M1*M2 = 1600 for the paper's water and copper: it runs 7 K panels,
+	// and its tanh is a second pass over the output.
 	mcBlock = 128
 	kcBlock = 256
 	ncBlock = 512
 )
-
-// blockedWorthIt reports whether the blocked engine beats the naive loops
-// for an m x k x n product: packing only amortizes with enough reduction
-// depth and enough output tiles. Below the cutoff (per-atom descriptor
-// contractions, batch-1 baseline rows, k=1 embedding inputs) the naive
-// kernels are used even under Kernel = Blocked.
-func blockedWorthIt(m, k, n int) bool {
-	return k >= 8 && m >= 2*mr && m*n*k >= 1<<15
-}
 
 // packSlab is a pooled scratch buffer for packed panels.
 type packSlab[T Float] struct{ buf []T }
@@ -107,96 +98,113 @@ func putSlab[T Float](p *packSlab[T]) {
 	packPoolFor[T]().Put(p)
 }
 
-// gemmBlocked computes C = alpha*A'*B' + beta*C where A' is m x k with
-// A'[i,p] = a[i*ari+p*arp] and B' is k x n with B'[p,j] = b[p*brp+j*brj];
-// c is row-major with leading dimension ldc. workers <= 1 runs serial.
-func gemmBlocked[T Float](workers, m, n, k int, alpha T, a []T, ari, arp int, b []T, brp, brj int, beta T, c []T, ldc int) {
-	if m == 0 || n == 0 {
+// gemmBlocked runs every item of a call through the packed engine:
+// C_g = alpha*A'_g*B'_g + beta*C_g where A'_g is m x k with
+// A'_g[i,p] = a[g*as + i*ari + p*arp], B'_g is k x n with
+// B'_g[p,j] = b[g*bs + p*brp + j*brj], and C_g is row-major at c[g*cs:]
+// with leading dimension ldc. A single GEMM is a batch of one. Work units
+// are (item, mcBlock row block) pairs; workers <= 1 runs them serially in
+// order.
+func gemmBlocked[T Float](workers, batch, m, n, k int, alpha T, a []T, as, ari, arp int, b []T, bs, brp, brj int, beta T, c []T, cs, ldc int) {
+	if batch == 0 || m == 0 || n == 0 {
 		return
 	}
 	if k == 0 || alpha == 0 {
-		scaleC(beta, c, m, n, ldc)
+		for g := 0; g < batch; g++ {
+			scaleC(beta, c[g*cs:], m, n, ldc)
+		}
 		return
 	}
-	nIBlocks := (m + mcBlock - 1) / mcBlock
-	if workers > nIBlocks {
-		workers = nIBlocks
+	nib := (m + mcBlock - 1) / mcBlock
+	units := batch * nib
+	if workers > units {
+		workers = units
 	}
-	// Spawning goroutines only pays off for enough work per row block.
-	if 2*m*n*k < 1<<21 {
+	// The pool only pays off with enough total work across the call.
+	if 2*batch*m*n*k < 1<<21 {
 		workers = 1
 	}
 	// Note: the pack slabs are released with explicit putSlab calls, not
 	// defer — deferring a generic call captures the type dictionary into a
 	// heap-allocated closure, which would break the allocation-free steady
 	// state the MD loop depends on.
-	bslab := getSlab[T](kcBlock * ((min(n, ncBlock) + nr - 1) / nr * nr))
-	for j0 := 0; j0 < n; j0 += ncBlock {
-		jb := min(ncBlock, n-j0)
-		jTiles := (jb + nr - 1) / nr
-		for p0 := 0; p0 < k; p0 += kcBlock {
-			kb := min(kcBlock, k-p0)
-			bbuf := bslab.buf[:jTiles*kb*nr]
-			packBPanel(bbuf, b, j0, jb, p0, kb, brp, brj)
-			betaEff := beta
-			if p0 > 0 {
-				betaEff = 1
-			}
-			if workers <= 1 {
-				gemmRowRange(0, m, m, jb, kb, j0, p0, alpha, a, ari, arp, bbuf, jTiles, betaEff, c, ldc)
-				continue
-			}
-			gemmRowBlocksParallel(workers, nIBlocks, m, jb, kb, j0, p0, alpha, a, ari, arp, bbuf, jTiles, betaEff, c, ldc)
-		}
+	if workers <= 1 {
+		bslab, aslab := blockedSlabs[T](n, k)
+		blockedUnits(0, units, nib, m, n, k, alpha, a, as, ari, arp, b, bs, brp, brj, beta, c, cs, ldc, bslab.buf, aslab.buf)
+		putSlab(aslab)
+		putSlab(bslab)
+		return
 	}
-	putSlab(bslab)
-}
-
-// gemmRowBlocksParallel fans the C row blocks of one packed panel out over
-// the worker pool. It lives in its own function so the goroutine closure
-// captures copies of these parameters rather than gemmBlocked's loop
-// variables — a closure inside the loop would force per-iteration heap
-// cells for j0/p0/betaEff even on the serial path, breaking the
-// allocation-free steady state.
-func gemmRowBlocksParallel[T Float](workers, nIBlocks, m, jb, kb, j0, p0 int, alpha T, a []T, ari, arp int, bbuf []T, jTiles int, betaEff T, c []T, ldc int) {
 	var wg sync.WaitGroup
-	per := (nIBlocks + workers - 1) / workers * mcBlock
-	for lo := 0; lo < m; lo += per {
-		hi := min(m, lo+per)
+	per := (units + workers - 1) / workers
+	for lo := 0; lo < units; lo += per {
+		hi := min(units, lo+per)
 		wg.Add(1)
 		//dp:allow noalloc the parallel path trades per-call goroutines for cores; the zero-alloc contract is the serial path
 		go func(lo, hi int) {
 			defer wg.Done()
-			gemmRowRange(lo, hi, m, jb, kb, j0, p0, alpha, a, ari, arp, bbuf, jTiles, betaEff, c, ldc)
+			bslab, aslab := blockedSlabs[T](n, k)
+			blockedUnits(lo, hi, nib, m, n, k, alpha, a, as, ari, arp, b, bs, brp, brj, beta, c, cs, ldc, bslab.buf, aslab.buf)
+			putSlab(aslab)
+			putSlab(bslab)
 		}(lo, hi)
 	}
 	wg.Wait()
 }
 
-// gemmRowRange processes C row blocks [lo, hi) (multiples of mcBlock from
-// the same origin for every worker, so tiling is identical to serial).
-func gemmRowRange[T Float](lo, hi, m, jb, kb, j0, p0 int, alpha T, a []T, ari, arp int, bbuf []T, jTiles int, beta T, c []T, ldc int) {
-	aslab := getSlab[T](mcBlock * kb)
-	gemmRowRangeSlab(lo, hi, m, jb, kb, j0, p0, alpha, a, ari, arp, bbuf, jTiles, beta, c, ldc, aslab.buf)
-	putSlab(aslab)
+// blockedSlabs acquires one pack-slab pair sized for the whole unit range
+// of a worker: reused across every item the worker processes.
+func blockedSlabs[T Float](n, k int) (bslab, aslab *packSlab[T]) {
+	bslab = getSlab[T](min(k, kcBlock) * ((min(n, ncBlock) + nr - 1) / nr * nr))
+	aslab = getSlab[T](mcBlock * min(k, kcBlock))
+	return bslab, aslab
 }
 
-// gemmRowRangeSlab is gemmRowRange with a caller-owned A pack buffer (of at
-// least mcBlock*kb elements); the batched engine reuses one across every
-// item of a worker's unit range.
-func gemmRowRangeSlab[T Float](lo, hi, m, jb, kb, j0, p0 int, alpha T, a []T, ari, arp int, bbuf []T, jTiles int, beta T, c []T, ldc int, aslabBuf []T) {
+// blockedUnits processes work units [lo, hi). Unit u is C row block
+// u%nib of item u/nib. For each item the range touches, every B panel is
+// packed once into the caller's slab and swept over the range's row
+// blocks of that item; each C element sees the K panels in ascending
+// order whatever the partition, which is what makes the engine
+// bit-identical at every worker count.
+func blockedUnits[T Float](lo, hi, nib, m, n, k int, alpha T, a []T, as, ari, arp int, b []T, bs, brp, brj int, beta T, c []T, cs, ldc int, bbufAll, abuf []T) {
+	for u := lo; u < hi; {
+		g := u / nib
+		end := min(hi, (g+1)*nib)
+		i0, i1 := (u-g*nib)*mcBlock, min(m, (end-g*nib)*mcBlock)
+		ag, bg, cg := a[g*as:], b[g*bs:], c[g*cs:]
+		for j0 := 0; j0 < n; j0 += ncBlock {
+			jb := min(ncBlock, n-j0)
+			jTiles := (jb + nr - 1) / nr
+			for p0 := 0; p0 < k; p0 += kcBlock {
+				kb := min(kcBlock, k-p0)
+				bbuf := bbufAll[:jTiles*kb*nr]
+				packBPanel(bbuf, bg, j0, jb, p0, kb, brp, brj)
+				betaEff := beta
+				if p0 > 0 {
+					betaEff = 1
+				}
+				blockedRows(i0, i1, jb, kb, j0, p0, alpha, ag, ari, arp, bbuf, jTiles, betaEff, cg, ldc, abuf)
+			}
+		}
+		u = end
+	}
+}
+
+// blockedRows multiplies C rows [lo, hi) (lo a multiple of mcBlock) by
+// one packed B panel, packing each mcBlock row block of A into abuf (at
+// least mcBlock*kb elements).
+func blockedRows[T Float](lo, hi, jb, kb, j0, p0 int, alpha T, a []T, ari, arp int, bbuf []T, jTiles int, beta T, c []T, ldc int, abuf []T) {
 	for i0 := lo; i0 < hi; i0 += mcBlock {
 		ib := min(mcBlock, hi-i0)
-		abuf := aslabBuf[:((ib+mr-1)/mr*mr)*kb]
-		packABlock(abuf, a, alpha, i0, ib, p0, kb, ari, arp)
+		ap := abuf[:((ib+mr-1)/mr*mr)*kb]
+		packABlock(ap, a, alpha, i0, ib, p0, kb, ari, arp)
 		iTiles := (ib + mr - 1) / mr
 		for jt := 0; jt < jTiles; jt++ {
 			jw := min(nr, jb-jt*nr)
 			bp := bbuf[jt*kb*nr : (jt+1)*kb*nr]
 			for it := 0; it < iTiles; it++ {
 				iw := min(mr, ib-it*mr)
-				ap := abuf[it*kb*mr : (it+1)*kb*mr]
-				acc := microKernel(kb, ap, bp)
+				acc := microKernel(kb, ap[it*kb*mr:(it+1)*kb*mr], bp)
 				writeTile(c, ldc, i0+it*mr, j0+jt*nr, iw, jw, beta, &acc)
 			}
 		}
@@ -249,11 +257,10 @@ func packBPanel[T Float](dst []T, b []T, j0, jb, p0, kb, brp, brj int) {
 // parallelism the naive loops lack; loading the highest index of each
 // strip first lets the compiler elide the remaining bounds checks. The
 // float64 instantiation routes through microKernel64, which dispatches at
-// runtime to a fused-multiply-add variant where the hardware has one (the
-// micro2x4FMA assembly tile on amd64 with FMA, math.FMA on arm64 where
-// FMADD is baseline) and to this portable mul-add kernel everywhere else —
-// a math.FMA that carries a per-op feature-check branch runs slower than
-// separate multiply and add (measured, see DESIGN.md).
+// runtime to the micro2x4FMA assembly tile on amd64 hosts with FMA and to
+// this portable mul-add kernel everywhere else — a math.FMA that carries a
+// per-op feature-check branch runs slower than separate multiply and add
+// (measured, see DESIGN.md).
 func microKernel[T Float](kb int, ap, bp []T) [mr * nr]T {
 	if a64, ok := any(ap).([]float64); ok {
 		r := microKernel64(kb, a64, any(bp).([]float64))
@@ -263,7 +270,7 @@ func microKernel[T Float](kb int, ap, bp []T) [mr * nr]T {
 }
 
 // microKernelMulAdd is the portable mul-add microkernel (always the
-// float32 path; the float64 path on targets without unconditional FMA).
+// float32 path; the float64 path without the amd64 FMA tile).
 func microKernelMulAdd[T Float](kb int, ap, bp []T) [mr * nr]T {
 	var c00, c01, c02, c03 T
 	var c10, c11, c12, c13 T

@@ -1,12 +1,11 @@
-//go:build purego || (!amd64 && !arm64)
+//go:build purego || !amd64
 
 package tensor
 
 // microKernel64 falls back to the portable mul-add microkernel on builds
-// without a hardware-FMA path: purego by contract, and targets where
-// math.FMA is not unconditionally lowered to hardware (a math.FMA that
-// carries a runtime feature-check branch per operation measures slower
-// than separate multiply and add).
+// without the amd64 FMA tile: purego by contract, and every other
+// architecture (a math.FMA that carries a runtime feature-check branch
+// per operation measures slower than separate multiply and add).
 func microKernel64(kb int, ap, bp []float64) [mr * nr]float64 {
 	return microKernelMulAdd(kb, ap, bp)
 }

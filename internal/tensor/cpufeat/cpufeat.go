@@ -1,8 +1,8 @@
 // Package cpufeat probes the host CPU once at init and owns the runtime
 // kernel-family selection that internal/tensor and internal/compress
-// consult on every dispatch. The probe (CPUID/XGETBV on amd64, a constant
-// on arm64) never runs under the `purego` build tag, so a purego build
-// reports no SIMD support and every caller falls back to the portable
+// consult on every dispatch. The probe (CPUID/XGETBV on amd64) never runs
+// under the `purego` build tag or on other architectures, so those builds
+// report no SIMD support and every caller falls back to the portable
 // generic kernels — the mandatory fallback contract of DESIGN.md.
 //
 // The active family is stored in an atomic so the serving path can read it
@@ -28,8 +28,6 @@ const (
 	AVX2
 	// AVX512 selects the 512-bit masked AVX-512F kernels (amd64).
 	AVX512
-	// NEON selects the 128-bit NEON kernels (arm64).
-	NEON
 )
 
 // String returns the name used in banners, JSON records and DEEPMD_KERNEL.
@@ -41,16 +39,13 @@ func (f Family) String() string {
 		return "avx2"
 	case AVX512:
 		return "avx512"
-	case NEON:
-		return "neon"
 	}
 	return fmt.Sprintf("family(%d)", int32(f))
 }
 
 // Features is the raw probe result. Fields are false when the build
-// excludes the probe (purego, unsupported GOARCH).
+// excludes the probe (purego, GOARCH other than amd64).
 type Features struct {
-	// amd64
 	FMA      bool // FMA3
 	AVX2     bool // AVX2, implies AVX
 	AVX512F  bool
@@ -58,8 +53,6 @@ type Features struct {
 	AVX512VL bool
 	OSAVX    bool // OS saves ymm state (XCR0)
 	OSAVX512 bool // OS saves zmm/opmask state (XCR0)
-	// arm64
-	NEON bool // ASIMD is baseline ARMv8; false only when not compiled in
 }
 
 // List returns the detected feature names, for banners and KernelInfo.
@@ -77,7 +70,6 @@ func (f Features) List() []string {
 	add(f.AVX512VL, "avx512vl")
 	add(f.OSAVX, "osavx")
 	add(f.OSAVX512, "osavx512")
-	add(f.NEON, "neon")
 	return s
 }
 
@@ -89,7 +81,7 @@ var (
 )
 
 // EnvVar is the environment variable that forces a kernel family at
-// startup: one of "generic" (alias "purego"), "avx2", "avx512", "neon".
+// startup: one of "generic" (alias "purego"), "avx2", "avx512".
 // Requests for families the host or build does not support are ignored
 // (noted in Note()).
 const EnvVar = "DEEPMD_KERNEL"
@@ -115,8 +107,6 @@ func Available(f Family) bool {
 		// AVX2-encoded NT dot tile and FMA microkernel.
 		return feats.AVX512F && feats.AVX512DQ && feats.AVX512VL &&
 			feats.AVX2 && feats.FMA && feats.OSAVX && feats.OSAVX512
-	case NEON:
-		return feats.NEON
 	}
 	return false
 }
@@ -128,8 +118,6 @@ func Best() Family {
 		return AVX512
 	case Available(AVX2):
 		return AVX2
-	case Available(NEON):
-		return NEON
 	}
 	return Generic
 }
@@ -177,8 +165,6 @@ func parseFamily(s string) (Family, error) {
 		return AVX2, nil
 	case "avx512":
 		return AVX512, nil
-	case "neon":
-		return NEON, nil
 	}
 	return Generic, fmt.Errorf("unknown family %q", s)
 }

@@ -38,7 +38,7 @@ func TestAvailabilityImplications(t *testing.T) {
 	if Available(AVX512) && !Available(AVX2) {
 		t.Fatal("AVX512 available but AVX2 not: dispatch assumes the implication")
 	}
-	for _, f := range []Family{Generic, AVX2, AVX512, NEON} {
+	for _, f := range []Family{Generic, AVX2, AVX512} {
 		if f.String() == "" {
 			t.Fatalf("family %d has empty name", f)
 		}

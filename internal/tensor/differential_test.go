@@ -130,7 +130,7 @@ func checkBitIdentical[T Float](t *testing.T, label string, got, want []T) {
 // runGemmVariantCase exercises one (variant, shape, alpha/beta, precision)
 // cell: naive vs float64 reference, the Blocked-family dispatch vs
 // reference, and bit-identity across all worker counts. Shapes below the
-// blockedWorthIt cutoff intentionally go through the same public dispatch
+// pickTier size rule intentionally go through the same public dispatch
 // — there they assert the Blocked family's small-size fallback equals the
 // naive oracle — while the larger shapes reach the packed engine itself
 // (and, above the auto-serial threshold, its goroutine pool).

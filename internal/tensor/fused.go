@@ -10,10 +10,10 @@ import (
 // This file holds the *fused* operators of the optimized execution graph
 // (Sec. 5.3):
 //
-//   - GemmBias replaces MATMUL + SUM with one pass (Sec. 5.3.1): the bias
+//   - GemmBiasOpt replaces MATMUL + SUM with one pass (Sec. 5.3.1): the bias
 //     row is written into C first and the GEMM accumulates on top of it
 //     (the beta = 1 trick of the CUBLAS call C = alpha*A*B + beta*C).
-//   - GemmBiasTanhGrad additionally fuses TANH and TANHGrad into the same
+//   - GemmBiasTanhGradOpt additionally fuses TANH and TANHGrad into the same
 //     pass over the output (Sec. 5.3.3): y = tanh(x*W + b) and
 //     dy/dpre = 1 - y^2 are produced together, trading the memory for the
 //     gradient (allocated up front in the arena) for a second traversal.
@@ -21,100 +21,54 @@ import (
 //     concatenated (x, x) never materializes; the skip connection is an
 //     in-place strided add into the activation output.
 
-// GemmBias computes C = A*B + bias broadcast over rows, in one fused pass.
-// Equivalent to GemmBiasOpt with the default Opts.
-func GemmBias[T Float](ctr *perf.Counter, a, b Matrix[T], bias []T, c Matrix[T]) {
-	GemmBiasOpt(Opts{}, ctr, a, b, bias, c)
-}
-
-// GemmBiasOpt is GemmBias with an explicit kernel/parallelism selection.
-// The blocked path writes the bias row into C first and accumulates the
-// blocked GEMM on top (the beta = 1 trick of the CUBLAS call).
+// GemmBiasOpt computes C = A*B + bias broadcast over rows, in one fused
+// pass: the SIMD strips seed their accumulators with the bias; the other
+// tiers write the bias row into C first and accumulate the GEMM on top
+// (the beta = 1 trick of the CUBLAS call).
 func GemmBiasOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, c Matrix[T]) {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols || len(bias) != c.Cols {
 		panic("tensor: GemmBias dimension mismatch")
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
-	switch {
-	case o.Kernel == Naive:
-		gemmBiasNaive(a, b, bias, c)
-	case gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, c.Data, n, bias, epiBias, nil, 0):
-		// bias seeded into the accumulators: one fused pass over C
-	case !blockedWorthIt(m, k, n):
-		gemmBiasNaive(a, b, bias, c)
-	default:
-		for i := 0; i < m; i++ {
-			copy(c.Data[i*n:i*n+n], bias)
-		}
-		gemmBlocked(o.Workers, m, n, k, 1, a.Data, k, 1, b.Data, n, 1, 1, c.Data, n)
-	}
+	gemm(o, layoutN, 1, m, k, n, 1, a.Data, 0, b.Data, 0, 0, c.Data, 0, bias, epiBias, nil)
 	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
 }
 
-// gemmBiasNaive is the reference fused bias GEMM: bias copied into each C
-// row, then the naive i-k-j accumulation on top.
-func gemmBiasNaive[T Float](a, b Matrix[T], bias []T, c Matrix[T]) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	for i := 0; i < m; i++ {
-		ci := c.Data[i*n : i*n+n]
-		copy(ci, bias)
-		ai := a.Data[i*k : i*k+k]
-		for l, av := range ai {
-			if av == 0 {
-				continue
-			}
-			axpy(av, b.Data[l*n:l*n+n], ci)
-		}
-	}
-}
-
-// GemmBiasTanhGrad computes y = tanh(A*B + bias) and grad = 1 - y*y in one
-// fused kernel. grad may be a zero-sized matrix (Rows == 0) to skip the
-// gradient, in which case only the activation is produced. Equivalent to
-// GemmBiasTanhGradOpt with the default Opts.
-func GemmBiasTanhGrad[T Float](ctr *perf.Counter, a, b Matrix[T], bias []T, y, grad Matrix[T]) {
-	GemmBiasTanhGradOpt(Opts{}, ctr, a, b, bias, y, grad)
-}
-
-// GemmBiasTanhGradOpt is GemmBiasTanhGrad with an explicit
-// kernel/parallelism selection; the elementwise tanh pass is partitioned
-// over the same workers as the GEMM when large enough.
+// GemmBiasTanhGradOpt computes y = tanh(A*B + bias) and grad = 1 - y*y.
+// grad may be a zero-sized matrix (Rows == 0) to skip the gradient, in
+// which case only the activation is produced. On the SIMD strips the
+// whole operator is one pass over y (and grad): bias, tanh and the
+// gradient are applied in the store loop, the wall time lands on CatGEMM
+// and the tanh FLOPs are recorded under CatTANH with zero duration so
+// per-category FLOP totals stay comparable with the two-pass accounting.
+// The other tiers run GemmBiasOpt and then one elementwise tanh pass,
+// partitioned over the same workers as the GEMM when large enough.
 func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, y, grad Matrix[T]) {
 	wantGrad := grad.Rows > 0
 	if wantGrad && (grad.Rows != y.Rows || grad.Cols != y.Cols) {
 		panic("tensor: GemmBiasTanhGrad gradient dimension mismatch")
 	}
-	// Fully fused path: the SIMD kernels apply bias, tanh and the gradient
-	// inside the store loop, so the whole operator is one pass over y (and
-	// grad). The wall time lands on CatGEMM; the tanh FLOPs are recorded
-	// under CatTANH with zero duration so per-category FLOP totals stay
-	// comparable with the two-pass accounting.
-	if o.Kernel != Naive && a.Cols == b.Rows && a.Rows == y.Rows && b.Cols == y.Cols && len(bias) == y.Cols {
-		m, k, n := a.Rows, a.Cols, b.Cols
-		mode := epiTanh
-		var g []T
-		ldg := 0
-		if wantGrad {
-			mode, g, ldg = epiTanhGrad, grad.Data, n
-		}
-		start := time.Now()
-		if gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, y.Data, n, bias, mode, g, ldg) {
-			ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
-			flops := tanhFLOPs * int64(len(y.Data))
-			if wantGrad {
-				flops += 2 * int64(len(y.Data))
-			}
-			ctr.Observe(perf.CatTANH, time.Now(), flops)
-			return
-		}
+	if a.Cols != b.Rows || a.Rows != y.Rows || b.Cols != y.Cols || len(bias) != y.Cols {
+		panic("tensor: GemmBias dimension mismatch")
 	}
-	GemmBiasOpt(o, ctr, a, b, bias, y)
+	m, k, n := a.Rows, a.Cols, b.Cols
+	mode := epiTanh
+	if wantGrad {
+		mode = epiTanhGrad
+	}
 	start := time.Now()
+	fused := gemm(o, layoutN, 1, m, k, n, 1, a.Data, 0, b.Data, 0, 0, y.Data, 0, bias, mode, grad.Data)
+	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
+	start = time.Now()
 	// The serial path must not touch the goroutine branch's closure: a
 	// shared func literal would escape to the heap on every call and break
 	// the allocation-free steady state.
-	if total := len(y.Data); o.Workers > 1 && total >= 1<<14 {
+	total := len(y.Data)
+	switch {
+	case fused:
+		// applied in the SIMD store loop
+	case o.Workers > 1 && total >= 1<<14:
 		var wg sync.WaitGroup
 		per := (total + o.Workers - 1) / o.Workers
 		for lo := 0; lo < total; lo += per {
@@ -127,7 +81,7 @@ func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bia
 			}(lo, hi)
 		}
 		wg.Wait()
-	} else {
+	default:
 		tanhGradRange(y.Data, grad.Data, 0, total, wantGrad)
 	}
 	flops := tanhFLOPs * int64(len(y.Data))

@@ -10,9 +10,10 @@ import (
 type Kernel int
 
 const (
-	// Blocked is the cache-blocked, register-tiled kernel family of
-	// blocked.go (packed panels, 2x4 microkernel, optional row-block
-	// parallelism). It is the default: the zero Opts value selects it.
+	// Blocked is the production family and the default (the zero Opts
+	// value): pickTier routes each call to the SIMD strips, the packed
+	// engine of blocked.go or the naive item loops, with optional
+	// intra-call parallelism.
 	Blocked Kernel = iota
 	// Naive is the reference family: the original serial i-k-j and
 	// dot-product loops. It survives as the differential-test oracle and
@@ -21,89 +22,145 @@ const (
 )
 
 // Opts selects the kernel family and intra-op parallelism for one GEMM
-// call. The zero value (Blocked, serial) is what the plain Gemm/GemmNT/...
-// wrappers use. Workers partitions C row blocks across goroutines; results
-// are bit-identical for every worker count.
+// call. The zero value is the production family, serial. Workers
+// partitions C row blocks (or batch items) across goroutines; results are
+// bit-identical for every worker count.
 type Opts struct {
 	Kernel  Kernel
 	Workers int
 }
 
-// Gemm computes C = alpha*A*B + beta*C for row-major matrices,
+// GemmOpt computes C = alpha*A*B + beta*C for row-major matrices,
 // A: m x k, B: k x n, C: m x n — the CPU stand-in for the single CUBLAS
-// GEMM call the optimized DeePMD-kit uses (Sec. 5.3.1). Equivalent to
-// GemmOpt with the default Opts (blocked kernel, serial).
-func Gemm[T Float](ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
-	GemmOpt(Opts{}, ctr, alpha, a, b, beta, c)
-}
-
-// GemmOpt is Gemm with an explicit kernel/parallelism selection.
+// GEMM call the optimized DeePMD-kit uses (Sec. 5.3.1).
 func GemmOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
 		panic("tensor: Gemm dimension mismatch")
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
-	switch {
-	case o.Kernel == Naive:
-		gemmNaive(alpha, a, b, beta, c)
-	case gemmSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, n, beta, c.Data, n, nil, epiNone, nil, 0):
-		// handled by the tall-skinny SIMD kernels
-	case !blockedWorthIt(m, k, n):
-		gemmNaive(alpha, a, b, beta, c)
-	default:
-		gemmBlocked(o.Workers, m, n, k, alpha, a.Data, k, 1, b.Data, n, 1, beta, c.Data, n)
-	}
+	gemm(o, layoutN, 1, m, k, n, alpha, a.Data, 0, b.Data, 0, beta, c.Data, 0, nil, epiNone, nil)
 	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k))
 }
 
-// GemmNT computes C = alpha*A*B^T + beta*C, A: m x k, B: n x k, C: m x n.
-// Used by the backward passes (dX = dY * W^T).
-func GemmNT[T Float](ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
-	GemmNTOpt(Opts{}, ctr, alpha, a, b, beta, c)
-}
-
-// GemmNTOpt is GemmNT with an explicit kernel/parallelism selection.
+// GemmNTOpt computes C = alpha*A*B^T + beta*C, A: m x k, B: n x k,
+// C: m x n. Used by the backward passes (dX = dY * W^T).
 func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
 	if a.Cols != b.Cols || a.Rows != c.Rows || b.Rows != c.Cols {
 		panic("tensor: GemmNT dimension mismatch")
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Rows
-	switch {
-	case o.Kernel == Naive:
-		gemmNTNaive(alpha, a, b, beta, c)
-	case gemmNTSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n):
-		// handled by the SIMD dot tile
-	case !blockedWorthIt(m, k, n):
-		gemmNTNaive(alpha, a, b, beta, c)
-	default:
-		gemmBlocked(o.Workers, m, n, k, alpha, a.Data, k, 1, b.Data, 1, k, beta, c.Data, n)
-	}
+	gemm(o, layoutNT, 1, m, k, n, alpha, a.Data, 0, b.Data, 0, beta, c.Data, 0, nil, epiNone, nil)
 	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k))
 }
 
-// GemmTN computes C = alpha*A^T*B + beta*C, A: m x k, B: m x n, C: k x n.
-// Used by the training backward pass (dW = X^T * dY) and the descriptor
-// contraction G^T * R~.
-func GemmTN[T Float](ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
-	GemmTNOpt(Opts{}, ctr, alpha, a, b, beta, c)
-}
-
-// GemmTNOpt is GemmTN with an explicit kernel/parallelism selection.
+// GemmTNOpt computes C = alpha*A^T*B + beta*C, A: m x k, B: m x n,
+// C: k x n. Used by the training backward pass (dW = X^T * dY) and the
+// descriptor contraction G^T * R~.
 func GemmTNOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
 	if a.Rows != b.Rows || a.Cols != c.Rows || b.Cols != c.Cols {
 		panic("tensor: GemmTN dimension mismatch")
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
-	// Output is k x n with reduction over m.
-	if o.Kernel == Naive || !blockedWorthIt(k, m, n) {
-		gemmTNNaive(alpha, a, b, beta, c)
-	} else {
-		gemmBlocked(o.Workers, k, n, m, alpha, a.Data, 1, k, b.Data, n, 1, beta, c.Data, n)
-	}
+	gemm(o, layoutTN, 1, m, k, n, alpha, a.Data, 0, b.Data, 0, beta, c.Data, 0, nil, epiNone, nil)
 	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k))
+}
+
+// layout tags the storage of one GEMM item (row-major operands).
+type layout int
+
+const (
+	layoutN  layout = iota // A m x k, B k x n, C m x n
+	layoutNT               // A m x k, B n x k, C m x n
+	layoutTN               // A m x k, B m x n, C k x n
+)
+
+// tier is one of the three GEMM execution engines.
+type tier int
+
+const (
+	tierNaive   tier = iota // the reference loops below, item by item
+	tierSIMD                // the register-tiled strips of simd.go
+	tierBlocked             // the packed engine of blocked.go
+)
+
+// pickTier is the one tier decision behind every GEMM entry point, for
+// items of layout l in the entry points' dimension convention. Kernel =
+// Naive forces the reference loops. A batch-1 N or NT item the SIMD strips
+// cover goes there, on the returned target: the active family is read
+// once per call. Otherwise one size rule picks the packed engine when its
+// packing amortizes — reduction depth >= 8, at least two microkernel row
+// strips of output, 2^13 multiply-adds per item and 2^15 per call (slab
+// acquisition and dispatch are paid once per call, packing once per item)
+// — and the naive item loops for everything smaller: the k <= 16
+// descriptor contractions, k = 1 embedding inputs, per-atom products.
+// Batches of one to three items therefore route by batch size, like
+// single GEMMs of the same total volume.
+func pickTier[T Float](o Opts, l layout, batch, m, k, n int, alpha T) (tier, simdTarget) {
+	if o.Kernel == Naive {
+		return tierNaive, simdTarget{}
+	}
+	if batch == 1 && alpha != 0 {
+		var z T
+		if s, ok := simdActive(sizeofT(z)); ok && s.covers(l, m, k, n) {
+			return tierSIMD, s
+		}
+	}
+	rows, depth := m, k
+	if l == layoutTN {
+		rows, depth = k, m
+	}
+	if vol := rows * depth * n; depth >= 8 && rows >= 2*mr && vol >= 1<<13 && batch*vol >= 1<<15 {
+		return tierBlocked, simdTarget{}
+	}
+	return tierNaive, simdTarget{}
+}
+
+// gemm is the one executor behind every GEMM entry point. Item g of A, B
+// and C starts at a[g*as:], b[g*bs:] and c[g*cs:], stored per l; a single
+// GEMM is a batch of one with zero strides. mode != epiNone is the fused
+// bias form of a batch-1 N item (alpha = 1, bias of n elements, grad m x n
+// for epiTanhGrad): the SIMD strips apply bias, tanh and its gradient in
+// their store loop; the other tiers seed C with the bias rows and
+// accumulate on top (beta = 1, the CUBLAS trick of Sec. 5.3.1), leaving
+// tanh to the caller. It reports whether the SIMD strips ran the call.
+func gemm[T Float](o Opts, l layout, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int, bias []T, mode int, grad []T) bool {
+	t, s := pickTier(o, l, batch, m, k, n, alpha)
+	if t == tierSIMD {
+		if l == layoutNT {
+			gemmNTSIMD(s.fam, o.Workers, m, k, n, alpha, a, k, b, k, beta, c, n)
+		} else {
+			gemmSIMD(s, o.Workers, m, k, n, alpha, a, k, b, n, beta, c, n, bias, mode, grad, n)
+		}
+		return true
+	}
+	if mode != epiNone {
+		for i := 0; i < m; i++ {
+			copy(c[i*n:i*n+n], bias)
+		}
+		beta = 1
+	}
+	if t == tierNaive {
+		workers := o.Workers
+		if o.Kernel == Naive {
+			workers = 1
+		}
+		runBatchNaive(workers, l, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
+		return false
+	}
+	// The packed engine sees A' (rows x depth) and B' (depth x n) through
+	// element strides: packing absorbs the transposes.
+	rows, depth, ari, arp, brp, brj := m, k, k, 1, n, 1
+	switch l {
+	case layoutNT:
+		brp, brj = 1, k
+	case layoutTN:
+		rows, depth, ari, arp = k, m, 1, k
+	}
+	gemmBlocked(o.Workers, batch, rows, n, depth, alpha, a, as, ari, arp, b, bs, brp, brj, beta, c, cs, n)
+	return false
 }
 
 // gemmNaive is the reference C = alpha*A*B + beta*C: an i-k-j loop order so

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"deepmd-go/internal/tensor/cpufeat"
 )
 
 // naiveMul is the reference O(n^3) triple loop used to validate the blocked
@@ -49,7 +51,7 @@ func TestGemmMatchesNaive(t *testing.T) {
 		m, k, n := dims[0], dims[1], dims[2]
 		a, b := randMat(rng, m, k), randMat(rng, k, n)
 		c := NewMatrix[float64](m, n)
-		Gemm(nil, 1, a, b, 0, c)
+		GemmOpt(Opts{}, nil, 1, a, b, 0, c)
 		matsClose(t, c, naiveMul(a, b), 1e-12)
 	}
 }
@@ -59,7 +61,7 @@ func TestGemmAlphaBeta(t *testing.T) {
 	a, b := randMat(rng, 5, 6), randMat(rng, 6, 7)
 	c0 := randMat(rng, 5, 7)
 	c := c0.Clone()
-	Gemm(nil, 2.5, a, b, -0.5, c)
+	GemmOpt(Opts{}, nil, 2.5, a, b, -0.5, c)
 	ref := naiveMul(a, b)
 	for i := range ref.Data {
 		ref.Data[i] = 2.5*ref.Data[i] - 0.5*c0.Data[i]
@@ -71,7 +73,7 @@ func TestGemmNT(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, bT := randMat(rng, 4, 6), randMat(rng, 5, 6) // B^T stored: 5x6 means B is 6x5
 	c := NewMatrix[float64](4, 5)
-	GemmNT(nil, 1, a, bT, 0, c)
+	GemmNTOpt(Opts{}, nil, 1, a, bT, 0, c)
 	// reference: transpose bT and multiply
 	b := NewMatrix[float64](6, 5)
 	for i := 0; i < 5; i++ {
@@ -86,7 +88,7 @@ func TestGemmTN(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	aT, b := randMat(rng, 6, 4), randMat(rng, 6, 5) // A^T stored as 6x4 means A is 4x6
 	c := NewMatrix[float64](4, 5)
-	GemmTN(nil, 1, aT, b, 0, c)
+	GemmTNOpt(Opts{}, nil, 1, aT, b, 0, c)
 	a := NewMatrix[float64](4, 6)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 4; j++ {
@@ -100,9 +102,9 @@ func TestGemmAccumulatesWithBetaOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a, b := randMat(rng, 3, 3), randMat(rng, 3, 3)
 	c := NewMatrix[float64](3, 3)
-	Gemm(nil, 1, a, b, 0, c)
+	GemmOpt(Opts{}, nil, 1, a, b, 0, c)
 	first := c.Clone()
-	Gemm(nil, 1, a, b, 1, c)
+	GemmOpt(Opts{}, nil, 1, a, b, 1, c)
 	for i := range c.Data {
 		if math.Abs(c.Data[i]-2*first.Data[i]) > 1e-12 {
 			t.Fatalf("beta=1 accumulation failed at %d", i)
@@ -124,10 +126,10 @@ func TestGemmLinearityProperty(t *testing.T) {
 		c1 := NewMatrix[float64](m, n)
 		c2 := NewMatrix[float64](m, n)
 		cs := NewMatrix[float64](m, n)
-		Gemm(nil, 1, a1, b, 0, c1)
-		Gemm(nil, 1, a2, b, 1, c1) // accumulate
-		Gemm(nil, 1, sum, b, 0, cs)
-		Gemm(nil, 1, a1, b, 0, c2)
+		GemmOpt(Opts{}, nil, 1, a1, b, 0, c1)
+		GemmOpt(Opts{}, nil, 1, a2, b, 1, c1) // accumulate
+		GemmOpt(Opts{}, nil, 1, sum, b, 0, cs)
+		GemmOpt(Opts{}, nil, 1, a1, b, 0, c2)
 		_ = c2
 		for i := range cs.Data {
 			if math.Abs(cs.Data[i]-c1.Data[i]) > 1e-10 {
@@ -160,7 +162,7 @@ func TestGemmFLOPAccounting(t *testing.T) {
 	ctr := newTestCounter()
 	a, b := NewMatrix[float64](3, 4), NewMatrix[float64](4, 5)
 	c := NewMatrix[float64](3, 5)
-	Gemm(ctr, 1, a, b, 0, c)
+	GemmOpt(Opts{}, ctr, 1, a, b, 0, c)
 	if got, want := ctr.FLOPs(), int64(2*3*4*5); got != want {
 		t.Fatalf("FLOPs = %d, want %d", got, want)
 	}
@@ -174,5 +176,83 @@ func TestGemmPanicsOnShapeMismatch(t *testing.T) {
 	}()
 	a, b := NewMatrix[float64](3, 4), NewMatrix[float64](5, 6)
 	c := NewMatrix[float64](3, 6)
-	Gemm(nil, 1, a, b, 0, c)
+	GemmOpt(Opts{}, nil, 1, a, b, 0, c)
+}
+
+var tierNames = [...]string{tierNaive: "naive", tierSIMD: "simd", tierBlocked: "blocked"}
+
+// TestPickTier pins the one tier decision on the shapes the benchmark
+// workloads run (per-item m, k, n in the entry points' convention) and on
+// both sides of the size rule. Rows marked simd go to the SIMD strips on
+// every SIMD family and to want under Generic.
+func TestPickTier(t *testing.T) {
+	cases := []struct {
+		name        string
+		l           layout
+		batch       int
+		m, k, n     int
+		naive, zero bool // Kernel = Naive; alpha = 0
+		want        tier
+		simd        bool
+	}{
+		{name: "water-md dG contraction k=100", l: layoutN, batch: 16, m: 46, k: 100, n: 4, want: tierBlocked},
+		{name: "water-md forward contraction k=100", l: layoutTN, batch: 16, m: 46, k: 100, n: 4, want: tierBlocked},
+		{name: "water-md dT contraction k=16", l: layoutN, batch: 16, m: 100, k: 16, n: 4, want: tierNaive},
+		{name: "water-md dT-sub contraction k=16", l: layoutTN, batch: 16, m: 100, k: 16, n: 4, want: tierNaive},
+		{name: "first fitting layer K=1600", l: layoutN, batch: 1, m: 256, k: 1600, n: 240, want: tierBlocked},
+		{name: "copper-md output layer m=96", l: layoutN, batch: 1, m: 96, k: 240, n: 1, want: tierNaive},
+		{name: "copper-md output layer m=256", l: layoutN, batch: 1, m: 256, k: 240, n: 1, want: tierBlocked},
+		{name: "water-tcp2 fitting backward", l: layoutNT, batch: 1, m: 8, k: 24, n: 24, want: tierNaive},
+
+		{name: "rule: batch 1 below 2^15", l: layoutN, batch: 1, m: 46, k: 100, n: 4, want: tierNaive},
+		{name: "rule: batch 2 above 2^15", l: layoutN, batch: 2, m: 46, k: 100, n: 4, want: tierBlocked},
+		{name: "rule: batch 4", l: layoutN, batch: 4, m: 46, k: 100, n: 4, want: tierBlocked},
+		{name: "rule: batch 1 at 2^15", l: layoutN, batch: 1, m: 32, k: 256, n: 4, want: tierBlocked},
+		{name: "rule: item below 2^13", l: layoutN, batch: 1000, m: 100, k: 16, n: 4, want: tierNaive},
+		{name: "rule: depth 7", l: layoutN, batch: 16, m: 100, k: 7, n: 16, want: tierNaive},
+		{name: "rule: three rows", l: layoutN, batch: 16, m: 3, k: 100, n: 100, want: tierNaive},
+		{name: "rule: TN rows are k", l: layoutTN, batch: 16, m: 100, k: 3, n: 100, want: tierNaive},
+
+		// Short batches: the per-call bound decides, so a chunk of one to
+		// three atoms (the per-type remainder of ChunkSize) runs core's
+		// k=100 contractions naive at batch 1 and packed at batch 2 and 3,
+		// and never on the strips (n = 4 is below every column chunk).
+		{name: "tail chunk forward contraction batch 1", l: layoutTN, batch: 1, m: 46, k: 100, n: 4, want: tierNaive},
+		{name: "tail chunk forward contraction batch 2", l: layoutTN, batch: 2, m: 46, k: 100, n: 4, want: tierBlocked},
+		{name: "tail chunk forward contraction batch 3", l: layoutTN, batch: 3, m: 46, k: 100, n: 4, want: tierBlocked},
+		{name: "tail chunk dG contraction batch 3", l: layoutN, batch: 3, m: 46, k: 100, n: 4, want: tierBlocked},
+		{name: "tail chunk dT contraction batch 1", l: layoutN, batch: 1, m: 100, k: 16, n: 4, want: tierNaive},
+
+		{name: "embedding k=1", l: layoutN, batch: 1, m: 4096, k: 1, n: 25, want: tierNaive, simd: true},
+		{name: "embedding 25->50", l: layoutN, batch: 1, m: 4096, k: 25, n: 50, want: tierBlocked, simd: true},
+		{name: "fitting 240x240", l: layoutN, batch: 1, m: 256, k: 240, n: 240, want: tierBlocked, simd: true},
+		{name: "fitting backward 240x240", l: layoutNT, batch: 1, m: 256, k: 240, n: 240, want: tierBlocked, simd: true},
+		{name: "water-tcp2 fitting layer", l: layoutN, batch: 1, m: 8, k: 24, n: 24, want: tierNaive, simd: true},
+		{name: "strips are batch-1 only", l: layoutN, batch: 2, m: 256, k: 240, n: 240, want: tierBlocked},
+		{name: "no strips for TN", l: layoutTN, batch: 1, m: 256, k: 240, n: 240, want: tierBlocked},
+		{name: "Kernel = Naive", l: layoutN, batch: 1, m: 256, k: 240, n: 240, naive: true, want: tierNaive},
+		{name: "alpha = 0", l: layoutN, batch: 1, m: 256, k: 240, n: 240, zero: true, want: tierBlocked},
+	}
+	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
+		for _, c := range cases {
+			want := c.want
+			if c.simd && fam != cpufeat.Generic {
+				want = tierSIMD
+			}
+			var o Opts
+			if c.naive {
+				o.Kernel = Naive
+			}
+			alpha := 1.0
+			if c.zero {
+				alpha = 0
+			}
+			if got, _ := pickTier(o, c.l, c.batch, c.m, c.k, c.n, alpha); got != want {
+				t.Errorf("%s (float64): %s tier, want %s", c.name, tierNames[got], tierNames[want])
+			}
+			if got, _ := pickTier(o, c.l, c.batch, c.m, c.k, c.n, float32(alpha)); got != want {
+				t.Errorf("%s (float32): %s tier, want %s", c.name, tierNames[got], tierNames[want])
+			}
+		}
+	})
 }

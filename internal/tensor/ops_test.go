@@ -22,7 +22,7 @@ func TestGemmBiasEqualsMatMulPlusSum(t *testing.T) {
 	}
 	unfused := BiasAdd(nil, MatMul(nil, x, w), bias)
 	fused := NewMatrix[float64](9, 11)
-	GemmBias(nil, x, w, bias, fused)
+	GemmBiasOpt(Opts{}, nil, x, w, bias, fused)
 	matsClose(t, fused, unfused, 1e-12)
 }
 
@@ -53,7 +53,7 @@ func TestGemmBiasTanhGradEqualsSeparateOps(t *testing.T) {
 
 	y := NewMatrix[float64](7, 5)
 	g := NewMatrix[float64](7, 5)
-	GemmBiasTanhGrad(nil, x, w, bias, y, g)
+	GemmBiasTanhGradOpt(Opts{}, nil, x, w, bias, y, g)
 	matsClose(t, y, wantY, 1e-12)
 	matsClose(t, g, wantG, 1e-12)
 }
@@ -63,7 +63,7 @@ func TestGemmBiasTanhGradSkipsGradient(t *testing.T) {
 	x, w := randMat(rng, 4, 3), randMat(rng, 3, 2)
 	bias := []float64{0.1, -0.2}
 	y := NewMatrix[float64](4, 2)
-	GemmBiasTanhGrad(nil, x, w, bias, y, Matrix[float64]{})
+	GemmBiasTanhGradOpt(Opts{}, nil, x, w, bias, y, Matrix[float64]{})
 	pre := BiasAdd(nil, MatMul(nil, x, w), bias)
 	matsClose(t, y, Tanh(nil, pre), 1e-12)
 }

@@ -9,13 +9,13 @@ import (
 )
 
 // This file is the portable half of the SIMD microkernel engine: shape
-// eligibility, worker fan-out, and the scalar Go model that finishes the
-// M/N remainders the assembly strips do not cover. The per-ISA halves
-// (simd_amd64.go + simd_*_amd64.s, simd_arm64.go + simd_arm64.s) provide
-// the register-tiled kernels; simd_off.go turns the whole path off under
-// `purego` or on other architectures, which is the mandatory fallback
-// contract: with no kernels available every GEMM routes to the
-// blocked/naive engines unchanged.
+// coverage, worker fan-out, and the scalar Go model that finishes the
+// M/N remainders the assembly strips do not cover. The amd64 half
+// (simd_amd64.go + simd_*_amd64.s) provides the register-tiled kernels;
+// simd_off.go turns the whole path off under `purego` or on other
+// architectures, which is the mandatory fallback contract: with no
+// kernels available pickTier never selects this tier and every GEMM runs
+// on the blocked/naive engines unchanged.
 //
 // Kernel shape. The paper's embedding GEMMs are tall and skinny
 // (M = atoms*neighbors rows, K in {1, 25, 50}, N in {25, 50, 100}) — too
@@ -24,11 +24,13 @@ import (
 // SIMD kernels skip packing entirely: an R-row strip of A is held as
 // broadcast scalars while B streams row by row through vector registers,
 // every (row, column-chunk) accumulator living in its own register chain.
-// K stays resident in one loop (k <= simdMaxK covers every network shape
-// in the repo, 240 included), so each strip makes exactly one pass over
-// C: the epilogue — alpha/beta, bias add, tanh, tanh gradient — is applied
-// in the store loop, and GemmBias/GemmBiasTanhGrad stop making a second
-// pass over the output.
+// K stays resident in one loop (k <= simdMaxK covers the embedding and
+// hidden fitting layers, 240 included, but not the first fitting layer,
+// whose K is the descriptor dimension: 1600 for the paper's water and
+// copper), so each strip makes exactly one pass over C: the epilogue —
+// alpha/beta, bias add, tanh, tanh gradient — is applied in the store
+// loop, and GemmBiasOpt/GemmBiasTanhGradOpt stop making a second pass
+// over the output.
 //
 // Bit-exactness contract. Worker fan-out partitions rows in multiples of
 // the strip height from row 0, so every row is computed by the same code
@@ -85,39 +87,50 @@ type tileArgs struct {
 // simdKernelCaps describes the tile geometry of one family/element-size
 // pair, reported by the per-arch simdCaps.
 type simdKernelCaps struct {
-	rows      int  // asm strip height (rows per kernel call)
-	cover     int  // column granularity: asm covers n &^ (cover-1)
-	masked    bool // asm covers every column (AVX-512 k-masked tails)
-	fusedTanh bool // epiTanh/epiTanhGrad implemented in the epilogue
-	hasNT     bool // 2x4 dot-product tile for GemmNT (mode epiNone)
+	rows   int  // asm strip height (rows per kernel call)
+	cover  int  // column granularity: asm covers n &^ (cover-1)
+	masked bool // asm covers every column (AVX-512 k-masked tails)
 }
 
-// simdActive returns the family to dispatch on and its caps for element
-// size es, or ok = false when the generic engines must be used.
-func simdActive(es int) (cpufeat.Family, simdKernelCaps, bool) {
+// simdTarget is the family a SIMD-tier call dispatches on and its caps
+// for the call's element size. pickTier reads the active family once and
+// hands the target to the kernels, so a concurrent cpufeat.SetActive
+// cannot change the family between the tier decision and the execution.
+type simdTarget struct {
+	fam  cpufeat.Family
+	caps simdKernelCaps
+}
+
+// simdActive returns the active family's target for element size es, or
+// ok = false when the generic engines must be used.
+func simdActive(es int) (simdTarget, bool) {
 	fam := cpufeat.Active()
 	if fam == cpufeat.Generic {
-		return fam, simdKernelCaps{}, false
+		return simdTarget{}, false
 	}
 	caps, ok := simdCaps(fam, es)
-	return fam, caps, ok
+	return simdTarget{fam: fam, caps: caps}, ok
 }
 
-// gemmSIMD attempts C = alpha*A*B + beta*C (epiNone) or one of the fused
-// epilogues on the active SIMD family, returning false when no kernel
-// applies so the caller can fall back to the blocked/naive engines.
-func gemmSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) bool {
-	var z T
-	fam, caps, ok := simdActive(sizeofT(z))
-	if !ok || k < 1 || k > simdMaxK || alpha == 0 {
-		return false
+// covers reports whether the strips take a batch-1 item of layout l: the
+// tall-skinny strips for N (K resident in one loop, at least one row strip
+// and one column chunk), the 2x4 dot tile for NT (enough reduction depth
+// to vectorize), nothing for TN. The epilogue modes share the N coverage:
+// every family fuses bias, tanh and its gradient.
+func (s simdTarget) covers(l layout, m, k, n int) bool {
+	switch l {
+	case layoutN:
+		return k >= 1 && k <= simdMaxK && m >= s.caps.rows && n >= s.caps.cover
+	case layoutNT:
+		return k >= 8 && m >= 2 && n >= 4 && m*n*k >= 1<<13
 	}
-	if mode >= epiTanh && !caps.fusedTanh {
-		return false
-	}
-	if m < caps.rows || n < caps.cover {
-		return false
-	}
+	return false
+}
+
+// gemmSIMD computes C = alpha*A*B + beta*C (epiNone) or one of the fused
+// epilogues on target s's strips, for a shape s covers.
+func gemmSIMD[T Float](s simdTarget, workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
+	fam, caps := s.fam, s.caps
 	nStrips := m / caps.rows
 	if 2*m*n*k < simdParMin {
 		workers = 1
@@ -127,10 +140,9 @@ func gemmSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb
 	}
 	if workers <= 1 {
 		simdRowRange(fam, caps, 0, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
-		return true
+		return
 	}
 	simdRowsParallel(fam, caps, workers, nStrips, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
-	return true
 }
 
 // simdRowsParallel fans row ranges out over a goroutine per worker. Ranges
@@ -286,18 +298,9 @@ func simdScalarRow32(ai []float32, k int, b []float32, ldb, jlo, jhi int, ci []f
 	}
 }
 
-// gemmNTSIMD attempts C = alpha*A*B^T + beta*C on the 2x4 dot-product
-// tile (lanes vectorized over K). Returns false to fall back.
-func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) bool {
-	var z T
-	fam, caps, ok := simdActive(sizeofT(z))
-	if !ok || !caps.hasNT || alpha == 0 {
-		return false
-	}
-	// The dot tile pays off only with enough reduction depth to vectorize.
-	if k < 8 || m < 2 || n < 4 || m*n*k < 1<<13 {
-		return false
-	}
+// gemmNTSIMD computes C = alpha*A*B^T + beta*C on family fam's 2x4
+// dot-product tile (lanes vectorized over K), for a shape its target covers.
+func gemmNTSIMD[T Float](fam cpufeat.Family, workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	nPairs := m / 2
 	if 2*m*n*k < simdParMin {
 		workers = 1
@@ -307,10 +310,9 @@ func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, l
 	}
 	if workers <= 1 {
 		ntRowRange(fam, 0, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
-		return true
+		return
 	}
 	ntRowsParallel(fam, workers, nPairs, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
-	return true
 }
 
 func ntRowsParallel[T Float](fam cpufeat.Family, workers, nPairs, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {

@@ -20,16 +20,16 @@ func simdCaps(fam cpufeat.Family, es int) (simdKernelCaps, bool) {
 	switch fam {
 	case cpufeat.AVX2:
 		if es == 8 {
-			return simdKernelCaps{rows: 4, cover: 8, fusedTanh: true, hasNT: true}, true
+			return simdKernelCaps{rows: 4, cover: 8}, true
 		}
-		return simdKernelCaps{rows: 8, cover: 8, fusedTanh: true, hasNT: true}, true
+		return simdKernelCaps{rows: 8, cover: 8}, true
 	case cpufeat.AVX512:
 		if es == 8 {
-			return simdKernelCaps{rows: 8, cover: 8, masked: true, fusedTanh: true, hasNT: true}, true
+			return simdKernelCaps{rows: 8, cover: 8, masked: true}, true
 		}
-		return simdKernelCaps{rows: 8, cover: 16, masked: true, fusedTanh: true, hasNT: true}, true
+		return simdKernelCaps{rows: 8, cover: 16, masked: true}, true
 	default:
-		// Generic and NEON take the portable path: no amd64 SIMD caps.
+		// Generic takes the portable path.
 		return simdKernelCaps{}, false
 	}
 }

@@ -1,11 +1,11 @@
-//go:build purego || (!amd64 && !arm64)
+//go:build purego || !amd64
 
 package tensor
 
 import "deepmd-go/internal/tensor/cpufeat"
 
 // No SIMD kernels in this build: simdCaps reports nothing available, so
-// gemmSIMD/gemmNTSIMD always decline and every GEMM routes through the
+// pickTier never selects the SIMD tier and every GEMM routes through the
 // portable blocked/naive engines — the purego contract. cpufeat's own
 // purego detect keeps Active() at Generic, so the tile entry points below
 // are unreachable.
